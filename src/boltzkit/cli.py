@@ -94,7 +94,7 @@ def _emit_rows(fmt: str, header: list[str], rows: list[list], out) -> None:
         writer = csv.writer(out, lineterminator="\r\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow(row)
+            writer.writerow([_csv_cell(x) for x in row])
     else:
         for row in rows:
             record = {
@@ -104,9 +104,26 @@ def _emit_rows(fmt: str, header: list[str], rows: list[list], out) -> None:
             out.write(json.dumps(record) + "\n")
 
 
+def _emit_levels(fmt: str, spec: SystemSpec, sol, columns: list[str],
+                 values: list, out) -> None:
+    """One row per level: index, energy, prior, probability, then values."""
+    rows = [
+        [i, e, q, p, *values]
+        for i, (e, q, p) in enumerate(
+            zip(spec.spectrum.levels, spec.prior.entries,
+                sol.distribution.entries),
+            start=1,
+        )
+    ]
+    header = ["i", "energy", "prior", "probability", *columns]
+    _emit_rows(fmt, header, rows, out)
+
+
 def _csv_cell(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, bool):
+        return str(x).lower()
     if isinstance(x, float):
         return _fmt(x)
     return str(x)
@@ -135,22 +152,9 @@ def cmd_distribution(args, out) -> int:
     spec = load_spec(args.spec)
     sol = generalized_distribution(spec.spectrum, spec.prior, args.beta)
     gibbs = spec.boltzmann_k * spec.particles * sol.entropy_per_particle
-    header = [
-        "i", "energy", "prior", "probability",
-        "log_partition", "mean_energy", "gibbs_entropy",
-    ]
-    rows = []
-    for i, (e, q, p) in enumerate(
-        zip(spec.spectrum.levels, spec.prior.entries, sol.distribution.entries),
-        start=1,
-    ):
-        if args.format == "csv":
-            rows.append([i, _fmt(e), _fmt(q), _fmt(p),
-                         _fmt(sol.log_partition), _fmt(sol.mean_energy),
-                         _fmt(gibbs)])
-        else:
-            rows.append([i, e, q, p, sol.log_partition, sol.mean_energy, gibbs])
-    _emit_rows(args.format, header, rows, out)
+    _emit_levels(args.format, spec, sol,
+                 ["log_partition", "mean_energy", "gibbs_entropy"],
+                 [sol.log_partition, sol.mean_energy, gibbs], out)
     return EXIT_OK
 
 
@@ -169,23 +173,13 @@ def cmd_sweep(args, out) -> int:
     ]
     rows = []
     for g in request.grid():
-        if request.variable == "temperature":
-            beta = 1.0 / (spec.boltzmann_k * g)
-        else:
-            beta = g
+        beta = 1.0 / (spec.boltzmann_k * g) if request.variable == "temperature" else g
         sol = generalized_distribution(spec.spectrum, spec.prior, beta)
         gibbs = spec.boltzmann_k * spec.particles * sol.entropy_per_particle
         s_equil = _equilibrium_entropy(spec, beta)
         kl = kl_divergence(sol.distribution, spec.prior)
-        temp = _temperature(beta, spec.boltzmann_k)
-        if args.format == "csv":
-            rows.append([
-                _fmt(beta), _csv_cell(temp), _fmt(sol.log_partition),
-                _fmt(sol.mean_energy), _fmt(gibbs), _fmt(s_equil), _fmt(kl),
-            ])
-        else:
-            rows.append([beta, temp, sol.log_partition, sol.mean_energy,
-                         gibbs, s_equil, kl])
+        rows.append([beta, _temperature(beta, spec.boltzmann_k),
+                     sol.log_partition, sol.mean_energy, gibbs, s_equil, kl])
     _emit_rows(args.format, header, rows, out)
     return EXIT_OK
 
@@ -194,23 +188,9 @@ def cmd_solve(args, out) -> int:
     spec = load_spec(args.spec)
     sol = solve_beta(spec.spectrum, spec.prior, args.target_energy)
     temp = _temperature(sol.beta, spec.boltzmann_k)
-    header = [
-        "i", "energy", "prior", "probability",
-        "beta", "temperature", "mean_energy", "log_partition",
-    ]
-    rows = []
-    for i, (e, q, p) in enumerate(
-        zip(spec.spectrum.levels, spec.prior.entries, sol.distribution.entries),
-        start=1,
-    ):
-        if args.format == "csv":
-            rows.append([i, _fmt(e), _fmt(q), _fmt(p), _fmt(sol.beta),
-                         _csv_cell(temp), _fmt(sol.mean_energy),
-                         _fmt(sol.log_partition)])
-        else:
-            rows.append([i, e, q, p, sol.beta, temp, sol.mean_energy,
-                         sol.log_partition])
-    _emit_rows(args.format, header, rows, out)
+    _emit_levels(args.format, spec, sol,
+                 ["beta", "temperature", "mean_energy", "log_partition"],
+                 [sol.beta, temp, sol.mean_energy, sol.log_partition], out)
     return EXIT_OK
 
 
@@ -254,12 +234,7 @@ def cmd_oscillator(args, out) -> int:
         closed = mean_energy_closed(model, beta)
         series, bound = mean_energy_series(model, beta)
         diff = abs(series - closed)
-        exceeds = diff > bound + 1e-12
-        if args.format == "csv":
-            rows.append([_fmt(beta), _fmt(closed), _fmt(series),
-                         _fmt(bound), _fmt(diff), str(exceeds).lower()])
-        else:
-            rows.append([beta, closed, series, bound, diff, exceeds])
+        rows.append([beta, closed, series, bound, diff, diff > bound + 1e-12])
     _emit_rows(args.format, header, rows, out)
     return EXIT_OK
 

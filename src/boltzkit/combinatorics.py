@@ -31,13 +31,42 @@ def statistical_weight(m: Macrostate) -> StatWeight:
     ``exact`` is N! / prod(N_i!) as a big integer; ``log_value`` is its
     natural log computed independently through log-gamma.
     """
-    exact = math.factorial(m.total)
-    for x in m.occupations:
-        exact //= math.factorial(x)
-    log_value = math.lgamma(m.total + 1) - math.fsum(
-        math.lgamma(x + 1) for x in m.occupations
-    )
-    return StatWeight(exact=exact, log_value=log_value)
+    return StatWeight(_exact_weight(m.occupations), _log_weight(m.occupations))
+
+
+# W = N!/prod(N_i!) exactly and as ln W. A single weight calls math.factorial
+# and math.lgamma; a composition-set scan reads both from per-set tables.
+
+def _log_factorial(x: int) -> float:
+    return math.lgamma(x + 1)
+
+
+def _exact_weight(occ: Sequence[int], factorial=math.factorial) -> int:
+    w = factorial(sum(occ))
+    for x in occ:
+        w //= factorial(x)
+    return w
+
+
+def _log_weight(occ: Sequence[int], log_factorial=_log_factorial) -> float:
+    return log_factorial(sum(occ)) - math.fsum(map(log_factorial, occ))
+
+
+def _log_probability(
+    occ: Sequence[int], log_prior: Sequence[float], log_factorial=_log_factorial
+) -> float:
+    """ln(W prod(prior_i ** N_i)) from ln prior_i, -inf where prior_i <= 0."""
+    log_p = _log_weight(occ, log_factorial)
+    for count, lq in zip(occ, log_prior):
+        if count:
+            if lq == -math.inf:
+                return -math.inf
+            log_p += count * lq
+    return log_p
+
+
+def _log_priors(prior: Sequence[float]) -> list[float]:
+    return [-math.inf if q <= 0.0 else math.log(q) for q in prior]
 
 
 @dataclass(frozen=True)
@@ -66,8 +95,7 @@ class CompositionSet:
         return self.cardinality
 
     def __iter__(self) -> Iterator[Macrostate]:
-        for occ in _compositions(self.total, self.parts):
-            yield Macrostate(occ)
+        return map(Macrostate, self.iter_tuples())
 
     def iter_tuples(self) -> Iterator[tuple[int, ...]]:
         """Raw tuples, skipping Macrostate construction, for hot loops."""
@@ -99,6 +127,23 @@ def enumerate_compositions(total: int, parts: int) -> CompositionSet:
     return CompositionSet(total=total, parts=parts)
 
 
+def _exact_weights(comps: CompositionSet) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(composition, W) over a capped set, dividing factorials from a table."""
+    factorial = [math.factorial(x) for x in range(comps.total + 1)].__getitem__
+    for occ in comps.iter_tuples():
+        yield occ, _exact_weight(occ, factorial)
+
+
+def _log_probabilities(
+    comps: CompositionSet, prior: Sequence[float]
+) -> Iterator[tuple[tuple[int, ...], float]]:
+    """(composition, ln P) over a capped set, equal to log_macrostate_probability."""
+    log_factorial = [_log_factorial(x) for x in range(comps.total + 1)].__getitem__
+    log_prior = _log_priors(prior)
+    for occ in comps.iter_tuples():
+        yield occ, _log_probability(occ, log_prior, log_factorial)
+
+
 def log_macrostate_probability(
     m: Macrostate, prior: ProbabilityVector | Sequence[float]
 ) -> float:
@@ -112,14 +157,7 @@ def log_macrostate_probability(
         raise ValidationError(
             f"prior length {len(p)} != macrostate length {len(m.occupations)}"
         )
-    log_p = statistical_weight(m).log_value
-    for count, q in zip(m.occupations, p):
-        if count == 0:
-            continue
-        if q <= 0.0:
-            return -math.inf
-        log_p += count * math.log(q)
-    return log_p
+    return _log_probability(m.occupations, _log_priors(p))
 
 
 def macrostate_probability(
@@ -141,7 +179,7 @@ def macrostate_probability_exact(
         raise ValidationError(
             f"prior length {len(prior)} != macrostate length {len(m.occupations)}"
         )
-    out = Fraction(statistical_weight(m).exact)
+    out = Fraction(_exact_weight(m.occupations))
     for count, q in zip(m.occupations, prior):
         if count:
             out *= Fraction(q) ** count
@@ -157,12 +195,5 @@ def weight_ratio_probability(m: Macrostate, cap: int = DEFAULT_SIZE_CAP) -> floa
     """
     comps = CompositionSet(total=m.total, parts=len(m.occupations))
     comps.require_within_cap(cap)
-    w_m = statistical_weight(m).exact
-    fact_total = math.factorial(m.total)
-    w_sum = 0
-    for occ in comps.iter_tuples():
-        w = fact_total
-        for x in occ:
-            w //= math.factorial(x)
-        w_sum += w
-    return float(Fraction(w_m, w_sum))
+    w_sum = sum(w for _, w in _exact_weights(comps))
+    return float(Fraction(_exact_weight(m.occupations), w_sum))

@@ -28,6 +28,14 @@ PROB_SUM_TOL = 1e-12
 PRIOR_RENORM_TOL = 1e-9
 
 
+def _reals(values: Iterable, what: str) -> tuple[float, ...]:
+    """``float()`` of each value; what it refuses is a ValidationError."""
+    try:
+        return tuple(float(x) for x in values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be real numbers: {exc}") from None
+
+
 @dataclass(frozen=True)
 class EnergySpectrum:
     """Ordered energy levels E_1..E_n, in arbitrary (consistent) energy units.
@@ -38,7 +46,7 @@ class EnergySpectrum:
     levels: tuple[float, ...]
 
     def __init__(self, levels: Iterable[float]):
-        values = tuple(float(x) for x in levels)
+        values = _reals(levels, "energy levels")
         if len(values) == 0:
             raise ZeroLevels("spectrum needs at least one energy level")
         for x in values:
@@ -62,7 +70,7 @@ class ProbabilityVector:
     entries: tuple[float, ...]
 
     def __init__(self, entries: Iterable[float]):
-        values = tuple(float(x) for x in entries)
+        values = _reals(entries, "probability entries")
         if len(values) == 0:
             raise ZeroLevels("probability vector needs at least one entry")
         for x in values:
@@ -99,7 +107,11 @@ class Macrostate:
     def __init__(self, occupations: Iterable[int], total: int | None = None):
         values = []
         for x in occupations:
-            if isinstance(x, bool) or int(x) != x:
+            try:
+                integral = not isinstance(x, bool) and int(x) == x
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
                 raise ValidationError(f"occupation {x!r} is not an integer")
             if x < 0:
                 raise ValidationError(f"occupation {x!r} is negative")
@@ -168,7 +180,7 @@ def validate_spec(raw: Mapping[str, Any] | SystemSpec) -> SystemSpec:
     if len(priors) != spectrum.count:
         raise LengthMismatch(f"{len(priors)} priors for {spectrum.count} levels")
 
-    p = [float(x) for x in priors]
+    p = _reals(priors, "priors")
     for x in p:
         if not (x >= 0.0):
             raise NegativePrior(f"prior entry {x!r} is not >= 0")
@@ -189,7 +201,7 @@ def validate_spec(raw: Mapping[str, Any] | SystemSpec) -> SystemSpec:
         raise ValidationError(f"k must be a number, got {k!r}")
 
     return SystemSpec(spectrum=spectrum, prior=prior, particles=n_raw,
-                      boltzmann_k=float(k))
+                      boltzmann_k=_reals([k], "k")[0])
 
 
 def load_spec(path: str) -> SystemSpec:

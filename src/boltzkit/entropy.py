@@ -154,9 +154,7 @@ def negentropy_relation(
     statement, exercised by the convergence checks in the oracle module.
     """
     mn = _check_mean(m, mean)
-    lhs = k * math.fsum(
-        x * math.log(x / mb) for x, mb in zip(m.occupations, mn) if x > 0
-    )
+    lhs = occupation_cross_entropy(m, mn, k)
     n_total = m.total
     s_state = -k * math.fsum(
         x * math.log(x / n_total) for x in m.occupations if x > 0

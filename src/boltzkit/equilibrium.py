@@ -110,13 +110,6 @@ def generalized_distribution(
     return _solve_from_log_weights(beta, energies, log_w)
 
 
-def mean_energy(
-    spectrum: EnergySpectrum, prior: ProbabilityVector, beta: float
-) -> float:
-    """Mean energy per particle of the generalized distribution at beta."""
-    return generalized_distribution(spectrum, prior, beta).mean_energy
-
-
 #: Relative (to the supported energy range) tolerance on the solved energy.
 ENERGY_TOL_FACTOR = 1e-10
 

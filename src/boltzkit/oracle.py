@@ -19,7 +19,8 @@ from typing import Sequence
 from .combinatorics import (
     DEFAULT_SIZE_CAP,
     CompositionSet,
-    log_macrostate_probability,
+    _exact_weights,
+    _log_probabilities,
     statistical_weight,
 )
 from .core import (
@@ -126,11 +127,7 @@ def check_normalization_and_means(
 
     total_p = Fraction(0)
     means = [Fraction(0) for _ in range(n_levels)]
-    fact_total = math.factorial(total_n)
-    for occ in comps.iter_tuples():
-        w = fact_total
-        for x in occ:
-            w //= math.factorial(x)
+    for occ, w in _exact_weights(comps):
         p = Fraction(w)
         for x, q in zip(occ, prior):
             if x:
@@ -194,8 +191,7 @@ def check_most_probable_state(
 
     best: tuple[int, ...] | None = None
     best_log = -math.inf
-    for occ in comps.iter_tuples():
-        lp = log_macrostate_probability(Macrostate(occ), p)
+    for occ, lp in _log_probabilities(comps, p.entries):
         if lp > best_log:
             best, best_log = occ, lp
     assert best is not None
@@ -297,14 +293,7 @@ def check_weight_dominance(
             comps.cardinality <= min(cap, EXACT_MODE_CAP)
             and total_n <= EXACT_MODE_PARTICLE_CAP
         ):
-            fact_total = math.factorial(total_n)
-            w_max = 0
-            for occ in comps.iter_tuples():
-                w = fact_total
-                for x in occ:
-                    w //= math.factorial(x)
-                if w > w_max:
-                    w_max = w
+            w_max = max(w for _, w in _exact_weights(comps))
             log_w_max = math.log(w_max)
             exact = str(w_max)
         else:

@@ -63,22 +63,22 @@ def mean_energy_closed(model: OscillatorModel, beta: float) -> float:
     return model.h_nu * (1.0 + 2.0 * bose)
 
 
-def _tail_g0(x: float, m: int) -> float:
+def _tail_g0(x: float, y: float, m: int) -> float:
     # sum_{i>=m} x^i
-    return x**m / (1.0 - x)
+    return x**m / y
 
 
-def _tail_g1(x: float, m: int) -> float:
+def _tail_g1(x: float, y: float, m: int) -> float:
     # sum_{i>=m} i x^i
-    return x**m * (m - (m - 1) * x) / (1.0 - x) ** 2
+    return x**m * (m - (m - 1) * x) / y**2
 
 
-def _tail_g2(x: float, m: int) -> float:
+def _tail_g2(x: float, y: float, m: int) -> float:
     # sum_{i>=m} i^2 x^i
     return (
         x**m
         * (m * m - (2 * m * m - 2 * m - 1) * x + (m - 1) ** 2 * x * x)
-        / (1.0 - x) ** 3
+        / y**3
     )
 
 
@@ -101,6 +101,7 @@ def mean_energy_series(
         raise NonPositiveBeta(f"beta {beta!r} must be positive")
     L = model.truncation
     x = math.exp(-beta * model.h_nu)
+    y = -math.expm1(-beta * model.h_nu)  # 1 - x, > 0 even where x rounds to 1
     i = np.arange(1, L + 1, dtype=float)
     # Boltzmann factors shifted by the ground level, so nothing overflows
     # and the leading term is exactly 1 (even when x underflows to 0).
@@ -110,13 +111,13 @@ def mean_energy_series(
     if model.dimensionality is Dimensionality.LINEAR_1D:
         den = float(np.sum(u))
         num = float(np.sum((i - 0.5) * u))  # energies in h_nu units
-        tail_z = _tail_g0(x, L)
-        tail_e = _tail_g1(x, L) + 0.5 * _tail_g0(x, L)
+        tail_z = _tail_g0(x, y, L)
+        tail_e = _tail_g1(x, y, L) + 0.5 * _tail_g0(x, y, L)
     else:
         den = float(np.sum(i * u))
         num = float(np.sum(i * i * u))
-        tail_z = _tail_g1(x, L) + _tail_g0(x, L)
-        tail_e = _tail_g2(x, L) + 2.0 * _tail_g1(x, L) + _tail_g0(x, L)
+        tail_z = _tail_g1(x, y, L) + _tail_g0(x, y, L)
+        tail_e = _tail_g2(x, y, L) + 2.0 * _tail_g1(x, y, L) + _tail_g0(x, y, L)
     ratio = num / den
     tail_bound = model.h_nu * (tail_e + tail_z * ratio) / den
     if tol is not None and tail_bound > tol:

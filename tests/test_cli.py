@@ -1,12 +1,18 @@
 """End-to-end CLI contract: output schemas, determinism, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boltzkit import cli
 
 SPEC_UNIFORM = '{"levels": [0.0, 1.0], "priors": [0.5, 0.5], "N": 10}'
 SPEC_WEIGHTED = '{"levels": [0.0, 1.0], "priors": [0.25, 0.75], "N": 4}'
@@ -52,6 +58,18 @@ class TestDistribution:
         assert float(body[0][3]) == pytest.approx(0.7310585786300049, abs=1e-11)
         assert float(body[1][3]) == pytest.approx(0.2689414213699951, abs=1e-11)
         assert float(body[0][5]) == pytest.approx(0.2689414213699951, abs=1e-11)
+
+    @pytest.mark.parametrize("spec", [
+        '{"levels": ["a", 1], "priors": [0.5, 0.5], "N": 2}',
+        '{"levels": [0, 1], "priors": [null, 0.5], "N": 2}',
+    ], ids=["string-level", "null-prior"])
+    def test_non_number_in_spec_exits_2(self, tmp_path, spec):
+        path = tmp_path / "bad.json"
+        path.write_text(spec)
+        proc = run_cli("distribution", "--spec", str(path), "--beta", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"Traceback" not in proc.stderr
 
     def test_malformed_spec_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -198,6 +216,17 @@ class TestOscillator:
             assert float(body[0][1]) == pytest.approx(expected, abs=1e-10)
             assert body[0][5] == "false"
 
+    def test_beta_where_exp_rounds_to_one_exits_0(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["oscillator", "--dim", "1d", "--from", "1e-18",
+                             "--to", "1e-17", "--points", "2"])
+        assert code == 0
+        _, body = parse_csv(out.getvalue().encode())
+        assert all(math.isfinite(float(row[3])) for row in body)
+        assert [row[5] for row in body] == ["false", "false"]
+
     def test_zero_beta_in_range_exits_2(self):
         proc = run_cli("oscillator", "--dim", "1d", "--from", "0",
                        "--to", "1", "--points", "2")
@@ -209,3 +238,65 @@ class TestOscillator:
         _, body = parse_csv(proc.stdout)
         for row in body:
             assert float(row[4]) <= float(row[3]) + 1e-12
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def spec_objects(draw):
+    """A valid spec with up to two fields replaced by arbitrary JSON or by
+    out-of-range numbers, and at most one field left out."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    spec = {
+        "levels": draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)),
+        "priors": [w / sum(weights) for w in weights],
+        "N": draw(st.integers(1, 100)),
+        "k": draw(st.floats(0.1, 10.0)),
+    }
+    wild = {
+        "levels": st.lists(st.floats() | JSON_VALUES, min_size=n, max_size=n),
+        "priors": st.lists(st.floats(min_value=0.0) | JSON_VALUES,
+                           min_size=n, max_size=n),
+        "N": st.integers(),
+        "k": st.floats(),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(spec)), max_size=2)):
+        spec[key] = draw(wild[key] | JSON_VALUES)
+    for key in draw(st.sets(st.sampled_from(sorted(spec)), max_size=1)):
+        del spec[key]
+    return spec
+
+
+class TestArbitraryInput:
+    """In-process fuzzing of the exit-code contract: whatever the spec file
+    and the float flag hold, main returns a documented code, raises nothing,
+    and writes no data when it fails."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=spec_objects(),
+        command=st.sampled_from(
+            [("distribution", "--beta"), ("solve", "--target-energy")]
+        ),
+        value=st.floats(-10.0, 10.0) | st.floats()
+        | st.sampled_from([math.nan, math.inf, -math.inf]),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    def test_exit_code_contract(self, tmp_path_factory, spec, command, value, fmt):
+        path = tmp_path_factory.getbasetemp() / "fuzz_spec.json"
+        path.write_text(json.dumps(spec))
+        name, flag = command
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([name, "--spec", str(path), f"{flag}={value!r}",
+                             "--format", fmt])
+        assert code in (0, 2, 3, 4)
+        if code != 0:
+            assert out.getvalue() == ""

@@ -36,6 +36,16 @@ class TestEnergySpectrum:
         with pytest.raises(ZeroLevels):
             EnergySpectrum([])
 
+    @pytest.mark.parametrize(
+        "bad", ["a", None, [1], 10**400], ids=["str", "null", "list", "huge"]
+    )
+    def test_rejects_non_numbers_as_validation_errors(self, bad):
+        with pytest.raises(ValidationError):
+            EnergySpectrum([bad, 1.0])
+
+    def test_still_coerces_numeric_strings(self):
+        assert EnergySpectrum(["1.5", 2]).levels == (1.5, 2.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(NonFiniteEnergy):
@@ -93,6 +103,14 @@ class TestMacrostate:
         with pytest.raises(ValidationError):
             Macrostate([1.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "bad", ["a", None, [1], math.inf, math.nan],
+        ids=["str", "null", "list", "inf", "nan"],
+    )
+    def test_rejects_non_numbers_as_validation_errors(self, bad):
+        with pytest.raises(ValidationError):
+            Macrostate([bad])
+
 
 class TestUniformPrior:
     @pytest.mark.parametrize(
@@ -138,6 +156,17 @@ class TestValidateSpec:
             validate_spec({"levels": [0, 1], "priors": [0.5, 0.5], "N": 0})
         with pytest.raises(NonPositiveN):
             validate_spec({"levels": [0, 1], "priors": [0.5, 0.5], "N": 2.5})
+
+    @pytest.mark.parametrize(
+        "bad", [None, "a", [0.5]], ids=["null", "str", "list"]
+    )
+    def test_non_number_prior_is_a_validation_error(self, bad):
+        with pytest.raises(ValidationError):
+            validate_spec({"levels": [0.0, 1.0], "priors": [bad, 0.5], "N": 2})
+
+    def test_k_beyond_float_range_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            validate_spec({"levels": [0.0], "priors": [1.0], "N": 1, "k": 10**400})
 
     def test_negative_prior(self):
         with pytest.raises(NegativePrior):

@@ -1,5 +1,6 @@
 """The brute-force verification harness itself."""
 
+import itertools
 import json
 import math
 import time
@@ -9,6 +10,7 @@ import pytest
 
 from boltzkit import (
     EnergySpectrum,
+    Macrostate,
     ProbabilityVector,
     SystemSpec,
     check_einstein_convergence,
@@ -20,6 +22,8 @@ from boltzkit import (
     round_to_macrostate,
     uniform_prior,
 )
+from boltzkit.combinatorics import log_macrostate_probability
+from boltzkit.equilibrium import generalized_distribution
 from boltzkit.errors import SizeGuardExceeded, SupportViolation
 from boltzkit.oracle import format_fraction
 
@@ -108,6 +112,49 @@ class TestMostProbableState:
         report = check_most_probable_state(spec, 1.0)
         assert report.exact_value == "[1, 1, 1]"
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "levels,priors",
+        [
+            # the systems of acceptance criterion 11
+            ([0.0], [1.0]),
+            ([0.0, 1.0], [0.5, 0.5]),
+            ([0.0, 1.0], [0.25, 0.75]),
+            ([0.0, 1.0, 2.0], [1 / 3, 1 / 3, 1 / 3]),
+            ([0.0, 1.0, 2.0], [0.5, 0.3, 0.2]),
+            # a level no particle may occupy
+            ([0.0, 1.0, 2.0], [0.5, 0.0, 0.5]),
+        ],
+        ids=["one-level", "two-uniform", "two-skewed", "three-uniform",
+             "three-skewed", "three-zero-prior"],
+    )
+    def test_matches_brute_force_reference(self, levels, priors):
+        """Same argmax and distance as scoring every occupation vector,
+        enumerated independently, with a validated Macrostate and
+        log_macrostate_probability; the first vector in lexicographic order
+        wins ties."""
+        for total in range(1, 13):
+            spec = SystemSpec(
+                spectrum=EnergySpectrum(levels),
+                prior=ProbabilityVector(priors),
+                particles=total,
+            )
+            for beta in (0.0, 1.0):
+                p = generalized_distribution(
+                    spec.spectrum, spec.prior, beta
+                ).distribution
+                best, best_log = None, -math.inf
+                for occ in itertools.product(range(total + 1), repeat=len(levels)):
+                    if sum(occ) != total:
+                        continue
+                    lp = log_macrostate_probability(Macrostate(occ), p)
+                    if lp > best_log:
+                        best, best_log = occ, lp
+                distance = max(abs(x / total - q) for x, q in zip(best, p.entries))
+                report = check_most_probable_state(spec, beta)
+                assert report.exact_value == str(list(best))
+                assert report.approx_value == distance
+                assert report.passed
 
 
 class TestEinsteinConvergence:

@@ -102,6 +102,14 @@ class TestSeries:
             auto_truncation(OscillatorModel(1.0, PLA), 1e-4, tol=1e-12,
                             max_levels=64)
 
+    @pytest.mark.parametrize("dim", [LIN, PLA])
+    def test_tail_bound_finite_where_exp_rounds_to_one(self, dim):
+        # exp(-1e-18) == 1.0, so 1 - x would be 0; the bound must still hold
+        model = OscillatorModel(1.0, dim, 256)
+        value, bound = mean_energy_series(model, 1e-18)
+        assert math.isfinite(value) and math.isfinite(bound)
+        assert abs(value - mean_energy_closed(model, 1e-18)) <= bound
+
     def test_deep_quantum_regime_stays_finite(self):
         value, bound = mean_energy_series(OscillatorModel(1.0, PLA, 64), 800.0)
         assert value == pytest.approx(1.0, abs=1e-12)
