@@ -13,20 +13,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .core import SystemSpec, load_spec
 from .entropy import kl_divergence
-from .equilibrium import (
-    equilibrium_entropy_prior,
-    equilibrium_entropy_uniform,
-    generalized_distribution,
-    solve_beta,
-)
+from .equilibrium import _prior_entropy, generalized_distribution, solve_beta
 from .errors import (
     InfeasibleError,
     NumericError,
@@ -51,42 +46,18 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _round12(x: float) -> float:
-    return float(_fmt(x))
-
-
-@dataclass(frozen=True)
-class SweepRequest:
-    """Grid over beta or temperature for the sweep subcommand."""
-
-    variable: str  # "beta" | "temperature"
-    start: float
-    stop: float
-    points: int
-    spacing: str = "linear"  # "linear" | "log"
-
-    def __post_init__(self):
-        if self.variable not in ("beta", "temperature"):
-            raise ValidationError(f"unknown sweep variable {self.variable!r}")
-        if self.spacing not in ("linear", "log"):
-            raise ValidationError(f"unknown spacing {self.spacing!r}")
-        if not (self.start < self.stop):
-            raise ValidationError(
-                f"sweep needs start < stop, got {self.start} >= {self.stop}"
-            )
-        if self.points < 2:
-            raise ValidationError(f"sweep needs >= 2 points, got {self.points}")
-        if self.spacing == "log" and not (self.start > 0):
-            raise ValidationError("log spacing requires start > 0")
-        if self.variable == "temperature" and not (self.start > 0):
-            raise ValidationError("temperature sweeps require start > 0")
-
-    def grid(self) -> list[float]:
-        if self.spacing == "log":
-            values = np.geomspace(self.start, self.stop, self.points)
-        else:
-            values = np.linspace(self.start, self.stop, self.points)
-        return [float(v) for v in values]
+def _grid(args) -> list[float]:
+    """The --from/--to/--points/--spacing grid, validated."""
+    if not (args.start < args.stop):
+        raise ValidationError(
+            f"sweep needs start < stop, got {args.start} >= {args.stop}"
+        )
+    if args.points < 2:
+        raise ValidationError(f"sweep needs >= 2 points, got {args.points}")
+    if args.spacing == "log" and not (args.start > 0):
+        raise ValidationError("log spacing requires start > 0")
+    space = np.geomspace if args.spacing == "log" else np.linspace
+    return [float(v) for v in space(args.start, args.stop, args.points)]
 
 
 def _emit_rows(fmt: str, header: list[str], rows: list[list], out) -> None:
@@ -98,7 +69,7 @@ def _emit_rows(fmt: str, header: list[str], rows: list[list], out) -> None:
     else:
         for row in rows:
             record = {
-                key: (_round12(v) if isinstance(v, float) else v)
+                key: (float(_fmt(v)) if isinstance(v, float) else v)
                 for key, v in zip(header, row)
             }
             out.write(json.dumps(record) + "\n")
@@ -133,19 +104,13 @@ def _temperature(beta: float, k: float) -> float | None:
     return None if beta == 0.0 else 1.0 / (k * beta)
 
 
-def _is_uniform(spec: SystemSpec) -> bool:
+def _entropy_head(spec: SystemSpec) -> float:
+    """The beta-free term of the closed equilibrium-entropy form: ln n + ln n
+    at a uniform prior (ln Z = ln Z_w + ln n there), H(prior) otherwise."""
     n = spec.spectrum.count
-    return max(abs(q - 1.0 / n) for q in spec.prior.entries) <= 1e-12
-
-
-def _equilibrium_entropy(spec: SystemSpec, beta: float) -> float:
-    if _is_uniform(spec):
-        return equilibrium_entropy_uniform(
-            spec.spectrum, beta, spec.particles, spec.boltzmann_k
-        )
-    return equilibrium_entropy_prior(
-        spec.spectrum, spec.prior, beta, spec.particles, spec.boltzmann_k
-    )
+    if max(abs(q - 1.0 / n) for q in spec.prior.entries) <= 1e-12:
+        return 2.0 * math.log(n)
+    return _prior_entropy(spec.prior)
 
 
 def cmd_distribution(args, out) -> int:
@@ -160,23 +125,22 @@ def cmd_distribution(args, out) -> int:
 
 def cmd_sweep(args, out) -> int:
     spec = load_spec(args.spec)
-    request = SweepRequest(
-        variable=args.variable,
-        start=args.start,
-        stop=args.stop,
-        points=args.points,
-        spacing=args.spacing,
-    )
+    grid = _grid(args)
+    temperature = args.variable == "temperature"
+    if temperature and not (args.start > 0):
+        raise ValidationError("temperature sweeps require start > 0")
     header = [
         "beta", "temperature", "log_partition", "mean_energy",
         "gibbs_entropy", "equilibrium_entropy", "kl_to_prior",
     ]
+    head = _entropy_head(spec)
+    k_n = spec.boltzmann_k * spec.particles
     rows = []
-    for g in request.grid():
-        beta = 1.0 / (spec.boltzmann_k * g) if request.variable == "temperature" else g
+    for g in grid:
+        beta = 1.0 / (spec.boltzmann_k * g) if temperature else g
         sol = generalized_distribution(spec.spectrum, spec.prior, beta)
-        gibbs = spec.boltzmann_k * spec.particles * sol.entropy_per_particle
-        s_equil = _equilibrium_entropy(spec, beta)
+        gibbs = k_n * sol.entropy_per_particle
+        s_equil = k_n * (head + beta * sol.mean_energy + sol.log_partition)
         kl = kl_divergence(sol.distribution, spec.prior)
         rows.append([beta, _temperature(beta, spec.boltzmann_k),
                      sol.log_partition, sol.mean_energy, gibbs, s_equil, kl])
@@ -217,11 +181,7 @@ def cmd_oscillator(args, out) -> int:
     model = OscillatorModel(
         h_nu=args.h_nu, dimensionality=dim, truncation=args.levels
     )
-    request = SweepRequest(
-        variable="beta", start=args.start, stop=args.stop,
-        points=args.points, spacing=args.spacing,
-    )
-    betas = request.grid()
+    betas = _grid(args)
     for beta in betas:
         if not (beta > 0.0):
             raise ValidationError(f"oscillator sweeps need beta > 0, got {beta}")
@@ -250,6 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    def add_grid(p):
+        p.add_argument("--from", dest="start", type=float, required=True)
+        p.add_argument("--to", dest="stop", type=float, required=True)
+        p.add_argument("--points", type=int, required=True)
+        p.add_argument("--spacing", choices=("linear", "log"), default="linear")
+
     p_dist = sub.add_parser(
         "distribution", help="per-level equilibrium distribution at one beta"
     )
@@ -262,11 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--spec", required=True)
     p_sweep.add_argument("--variable", choices=("beta", "temperature"),
                          default="beta")
-    p_sweep.add_argument("--from", dest="start", type=float, required=True)
-    p_sweep.add_argument("--to", dest="stop", type=float, required=True)
-    p_sweep.add_argument("--points", type=int, required=True)
-    p_sweep.add_argument("--spacing", choices=("linear", "log"),
-                         default="linear")
+    add_grid(p_sweep)
     add_format(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -292,11 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_osc.add_argument("--dim", choices=("1d", "2d"), required=True)
     p_osc.add_argument("--h-nu", dest="h_nu", type=float, default=1.0)
     p_osc.add_argument("--levels", type=int, default=256)
-    p_osc.add_argument("--from", dest="start", type=float, required=True)
-    p_osc.add_argument("--to", dest="stop", type=float, required=True)
-    p_osc.add_argument("--points", type=int, required=True)
-    p_osc.add_argument("--spacing", choices=("linear", "log"),
-                       default="linear")
+    add_grid(p_osc)
     add_format(p_osc)
     p_osc.set_defaults(func=cmd_oscillator)
 
@@ -309,18 +267,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"boltzkit {__version__}", file=sys.stderr)
     try:
         return args.func(args, sys.stdout)
-    except ValidationError as exc:
+    except (ValidationError, InfeasibleError, NumericError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OverflowError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        if isinstance(exc, ValidationError):
+            return EXIT_VALIDATION
+        return EXIT_INFEASIBLE if isinstance(exc, InfeasibleError) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

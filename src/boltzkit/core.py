@@ -36,6 +36,14 @@ def _reals(values: Iterable, what: str) -> tuple[float, ...]:
         raise ValidationError(f"{what} must be real numbers: {exc}") from None
 
 
+def _total(values: tuple[float, ...]) -> float:
+    """Exact sum; one beyond float range is inf, which cannot be 1."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class EnergySpectrum:
     """Ordered energy levels E_1..E_n, in arbitrary (consistent) energy units.
@@ -76,7 +84,7 @@ class ProbabilityVector:
         for x in values:
             if not (x >= 0.0):  # catches negatives and NaN
                 raise NegativePrior(f"probability entry {x!r} is not >= 0")
-        total = math.fsum(values)
+        total = _total(values)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise PriorSumMismatch(
                 f"probabilities sum to {total!r}, not 1 within {PROB_SUM_TOL}"
@@ -184,7 +192,7 @@ def validate_spec(raw: Mapping[str, Any] | SystemSpec) -> SystemSpec:
     for x in p:
         if not (x >= 0.0):
             raise NegativePrior(f"prior entry {x!r} is not >= 0")
-    total = math.fsum(p)
+    total = _total(p)
     if abs(total - 1.0) > PRIOR_RENORM_TOL:
         raise PriorSumMismatch(
             f"priors sum to {total!r}; beyond renormalization tolerance "

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .combinatorics import statistical_weight
+from .combinatorics import _log_weight
 from .core import Macrostate, ProbabilityVector
 from .errors import (
     ExceedsReference,
@@ -70,7 +70,7 @@ def stirling_entropy(m: Macrostate, k: float = 1.0) -> EntropyValue:
 
 def exact_boltzmann_entropy(m: Macrostate, k: float = 1.0) -> EntropyValue:
     """k ln W with the exact microstate count W = N!/prod(N_i!)."""
-    return EntropyValue(value=k * statistical_weight(m).log_value, k_used=k)
+    return EntropyValue(value=k * _log_weight(m.occupations), k_used=k)
 
 
 def kl_divergence(

@@ -5,8 +5,10 @@ prior-weighted generalization p_i = prior_i exp(-beta E_i)/Z_w, plus the
 inverse problem (solve for beta from a target mean energy) and the two
 closed-form equilibrium-entropy expressions.
 
-All exponentials go through a max-shift, so arbitrarily large |beta * E|
-cannot overflow. Normalization of the generalized distribution uses the
+All of it runs on one kernel, ``_exponential_family``. Its exponents are
+anchored at the lowest supported energy when beta >= 0 and the highest
+when beta < 0, so none is positive, nothing saturates before the shift,
+and p does not depend on the energies' offset. Normalization uses the
 prior-weighted partition sum Z_w = sum(prior_j exp(-beta E_j)), the unique
 choice under which the weights form a probability distribution.
 """
@@ -14,6 +16,7 @@ choice under which the weights form a probability distribution.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,32 +48,59 @@ class EquilibriumSolution:
     entropy_per_particle: float
 
 
-def _require_finite_beta(beta: float) -> None:
+def _family_arrays(
+    spectrum: EnergySpectrum, prior: ProbabilityVector | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Energies and ln prior (-inf where a prior is 0); no prior means the
+    plain distribution, whose log-prior is 0 on every level."""
+    energies = np.asarray(spectrum.levels, dtype=float)
+    if prior is None:
+        return energies, np.zeros_like(energies)
+    if len(prior) != spectrum.count:
+        raise LengthMismatch(f"{len(prior)} priors for {spectrum.count} levels")
+    with np.errstate(divide="ignore"):
+        return energies, np.log(np.asarray(prior.entries, dtype=float))
+
+
+def _exponential_family(
+    energies: np.ndarray, log_prior: np.ndarray, beta: float
+) -> tuple[np.ndarray, float, float]:
+    """p_i = exp(log_prior_i - beta E_i) / Z_w, ln Z_w and <E>.
+
+    ln Z_w = shift + ln(sum w) - beta anchor, where the anchor is the
+    supported level that dominates for the sign of beta.
+    """
     if not math.isfinite(beta):
         raise ValidationError(f"beta must be finite, got {beta!r}")
-
-
-def _solve_from_log_weights(
-    beta: float, energies: np.ndarray, log_w: np.ndarray
-) -> EquilibriumSolution:
-    finite = np.isfinite(log_w)
-    if not finite.any():
-        raise DegeneratePrior("every prior-weighted Boltzmann factor vanished")
-    shift = float(log_w[finite].max())
-    w = np.where(finite, np.exp(log_w - shift), 0.0)
+    support = np.isfinite(log_prior)
+    supported = energies[support]
+    anchor = float(supported.min() if beta >= 0.0 else supported.max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = beta * (energies - anchor) if beta else 0.0  # 0 * inf is 0
+        log_w = np.where(support, log_prior - decay, -np.inf)
+    shift = float(log_w.max())
+    w = np.exp(log_w - shift)
     total = float(np.sum(w))
+    log_partition = shift + math.log(total) - beta * anchor
+    if not math.isfinite(log_partition):
+        raise DegeneratePrior(
+            f"ln Z_w = {log_partition} at beta={beta}: the prior-weighted "
+            "partition sum is beyond float range"
+        )
     p = w / total
-    log_partition = shift + math.log(total)
-    mean_energy = float(np.dot(p, energies))
+    return p, log_partition, float(np.dot(p, energies))
+
+
+def _solution(spectrum, prior, beta: float) -> EquilibriumSolution:
+    p, log_z, mean = _exponential_family(*_family_arrays(spectrum, prior), beta)
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    entropy = float(-np.sum(plogp))
     return EquilibriumSolution(
         beta=beta,
-        log_partition=log_partition,
+        log_partition=log_z,
         distribution=ProbabilityVector(p),
-        mean_energy=mean_energy,
-        entropy_per_particle=entropy,
+        mean_energy=mean,
+        entropy_per_particle=float(-np.sum(plogp)),
     )
 
 
@@ -78,11 +108,7 @@ def boltzmann_distribution(
     spectrum: EnergySpectrum, beta: float
 ) -> EquilibriumSolution:
     """p_i = exp(-beta E_i) / Z with Z = sum(exp(-beta E_j))."""
-    _require_finite_beta(beta)
-    energies = np.asarray(spectrum.levels, dtype=float)
-    with np.errstate(over="ignore"):  # beta*E may saturate to inf, by design
-        log_w = -beta * energies
-    return _solve_from_log_weights(beta, energies, log_w)
+    return _solution(spectrum, None, beta)
 
 
 def generalized_distribution(
@@ -94,27 +120,14 @@ def generalized_distribution(
     this coincides with ``boltzmann_distribution``. At beta = 0 it returns
     the prior itself.
     """
-    _require_finite_beta(beta)
-    if len(prior) != spectrum.count:
-        raise LengthMismatch(
-            f"{len(prior)} priors for {spectrum.count} levels"
-        )
-    energies = np.asarray(spectrum.levels, dtype=float)
-    p0 = np.asarray(prior.entries, dtype=float)
-    with np.errstate(over="ignore"):  # beta*E may saturate to inf, by design
-        log_w = np.where(
-            p0 > 0.0,
-            np.log(np.where(p0 > 0.0, p0, 1.0)) - beta * energies,
-            -np.inf,
-        )
-    return _solve_from_log_weights(beta, energies, log_w)
+    return _solution(spectrum, prior, beta)
 
 
 #: Relative (to the supported energy range) tolerance on the solved energy.
 ENERGY_TOL_FACTOR = 1e-10
 
-_MAX_BRACKET_DOUBLINGS = 200
-_MAX_BISECTIONS = 400
+_MAX_STEPS = 200
+_RESOLUTION = 4.0 * sys.float_info.epsilon
 
 
 def solve_beta(
@@ -125,21 +138,25 @@ def solve_beta(
     """Find the unique beta whose equilibrium mean energy hits the target.
 
     The map beta -> mean energy is strictly decreasing whenever the prior
-    supports at least two distinct energies, so a geometrically expanded
-    bracket plus bisection always converges. The target must lie strictly
+    supports at least two distinct energies. The target must lie strictly
     between the smallest and largest supported energies; beta may come out
-    negative (targets above the beta=0 mean).
+    negative (targets above the beta=0 mean), and is exactly 0.0 when the
+    beta=0 mean hits the target.
+
+    It works on the supported levels in units of their range, u = (E -
+    E_min)/(E_max - E_min), with t = beta (E_max - E_min). The minimum of
+    the convex dual ln Z_w(t) + t u_target (slope u_target - <u>, curvature
+    Var(u)) is found by Newton's method on the log-odds of <u>; once both
+    sides of the root are known, a step that leaves them bisects instead.
+    It iterates to full precision, checks the residual <E> - E_min against
+    target - E_min, and builds only the returned distribution.
     """
     if not math.isfinite(target_mean_energy):
         raise ValidationError(f"target {target_mean_energy!r} must be finite")
-    if len(prior) != spectrum.count:
-        raise LengthMismatch(f"{len(prior)} priors for {spectrum.count} levels")
-    supported = [
-        e for e, q in zip(spectrum.levels, prior.entries) if q > 0.0
-    ]
-    if not supported:
-        raise DegeneratePrior("prior has empty support")
-    e_min, e_max = min(supported), max(supported)
+    energies, log_prior = _family_arrays(spectrum, prior)
+    support = np.isfinite(log_prior)
+    levels, log_prior = energies[support], log_prior[support]
+    e_min, e_max = float(levels.min()), float(levels.max())
 
     if e_min == e_max:
         scale = max(1.0, abs(e_min))
@@ -154,41 +171,64 @@ def solve_beta(
             f"target {target_mean_energy} outside the open interval "
             f"({e_min}, {e_max}) of attainable mean energies"
         )
-
-    def energy_at(beta: float) -> float:
-        return generalized_distribution(spectrum, prior, beta).mean_energy
-
-    lo, hi = -1.0, 1.0  # energy_at is decreasing: need E(lo) >= target >= E(hi)
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        if energy_at(lo) >= target_mean_energy:
-            break
-        lo *= 2.0
-    else:
-        raise NumericError("bracket expansion failed on the low side")
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        if energy_at(hi) <= target_mean_energy:
-            break
-        hi *= 2.0
-    else:
-        raise NumericError("bracket expansion failed on the high side")
-
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if energy_at(mid) > target_mean_energy:
-            lo = mid
-        else:
-            hi = mid
-
-    solution = generalized_distribution(spectrum, prior, 0.5 * (lo + hi))
-    tol = ENERGY_TOL_FACTOR * (e_max - e_min)
-    if abs(solution.mean_energy - target_mean_energy) > tol:
+    span = e_max - e_min
+    goal = (target_mean_energy - e_min) / span
+    with np.errstate(divide="ignore", invalid="ignore"):
+        goal_odds = float(np.log(goal) - np.log((e_max - target_mean_energy) / span))
+    if not math.isfinite(goal_odds):
         raise NumericError(
-            f"bisection stalled: |{solution.mean_energy} - "
-            f"{target_mean_energy}| > {tol}"
+            f"target {target_mean_energy} is not resolvable within the "
+            f"range ({e_min}, {e_max})"
         )
-    return solution
+    u, rest = (levels - e_min) / span, (e_max - levels) / span  # rest = 1 - u
+
+    t, lo, hi, step = 0.0, -math.inf, math.inf, math.inf
+    for _ in range(_MAX_STEPS):  # the root stays between lo and hi
+        p, _, mean = _exponential_family(u, log_prior, t)
+        # Newton on the log-odds of <u>, whose slope is -Var(u)/(<u> <1-u>):
+        # exact for two levels and in both saturated tails
+        mean_rest = float(np.dot(p, rest))
+        variance = float(np.dot(p, (u - mean) ** 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            odds = np.log(mean) - np.log(mean_rest) - goal_odds
+            newton = odds * mean * mean_rest / variance if variance else math.nan
+        if odds > 0.0:
+            lo = t
+        elif odds < 0.0:
+            hi = t
+        scale = max(1.0, abs(t))
+        stalled = abs(newton) > 0.5 * abs(step)  # corrections stopped halving
+        if abs(newton) <= _RESOLUTION * scale or hi - lo <= _RESOLUTION * scale:
+            break
+        if stalled and abs(step) <= 1e-8 * scale:
+            break  # Newton has reached the rounding noise of <u>
+        bracketed = math.isfinite(hi - lo)
+        if lo < t + newton < hi and not (bracketed and stalled):
+            step = float(newton)
+        elif not bracketed:  # one side still open and Newton went nowhere finite
+            step = math.copysign(1.0 + abs(t), odds)
+        elif hi - lo > 2.0 + min(abs(lo), abs(hi)):  # bisect across decades
+            step = math.sinh(0.5 * (math.asinh(lo) + math.asinh(hi))) - t
+        else:
+            step = 0.5 * (lo + hi) - t
+        t += step
+    else:
+        raise NumericError(f"solver did not converge in {_MAX_STEPS} steps")
+
+    if abs(mean - goal) > ENERGY_TOL_FACTOR:
+        raise NumericError(
+            f"solver stalled: mean {e_min + mean * span!r} "
+            f"misses target {target_mean_energy!r}"
+        )
+    return generalized_distribution(spectrum, prior, t / span)
+
+
+def _prior_entropy(prior: ProbabilityVector) -> float:
+    """H(prior) = -sum(p0 ln p0), the unequal-priors form's beta-free term."""
+    for q in prior.entries:
+        if q <= 0.0:
+            raise ZeroPriorEntry("formula requires strictly positive priors")
+    return -math.fsum(q * math.log(q) for q in prior.entries)
 
 
 def equilibrium_entropy_uniform(
@@ -203,10 +243,8 @@ def equilibrium_entropy_uniform(
     """
     if N < 1:
         raise ValidationError(f"need N >= 1, got {N}")
-    sol = boltzmann_distribution(spectrum, beta)
-    return k * N * (
-        math.log(spectrum.count) + beta * sol.mean_energy + sol.log_partition
-    )
+    _, log_z, mean = _exponential_family(*_family_arrays(spectrum, None), beta)
+    return k * N * (math.log(spectrum.count) + beta * mean + log_z)
 
 
 def equilibrium_entropy_prior(
@@ -218,7 +256,7 @@ def equilibrium_entropy_prior(
 ) -> float:
     """-N k sum(p0 ln p0) + N k (beta <E> + ln Z_w), the unequal-priors form.
 
-    <E> and Z_w come from ``generalized_distribution``; the prior must be
+    <E> and Z_w are those of ``generalized_distribution``; the prior must be
     strictly positive since the formula contains ln(p0_i). With the
     prior-weighted Z_w this differs at uniform priors from
     ``equilibrium_entropy_uniform`` by exactly k N ln n (the weighted
@@ -227,14 +265,9 @@ def equilibrium_entropy_prior(
     """
     if N < 1:
         raise ValidationError(f"need N >= 1, got {N}")
-    for q in prior.entries:
-        if q <= 0.0:
-            raise ZeroPriorEntry("formula requires strictly positive priors")
-    sol = generalized_distribution(spectrum, prior, beta)
-    prior_entropy = -math.fsum(q * math.log(q) for q in prior.entries)
-    return k * N * (
-        prior_entropy + beta * sol.mean_energy + sol.log_partition
-    )
+    prior_entropy = _prior_entropy(prior)
+    _, log_z, mean = _exponential_family(*_family_arrays(spectrum, prior), beta)
+    return k * N * (prior_entropy + beta * mean + log_z)
 
 
 def entropy_inequality_check(

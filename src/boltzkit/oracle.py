@@ -19,9 +19,10 @@ from typing import Sequence
 from .combinatorics import (
     DEFAULT_SIZE_CAP,
     CompositionSet,
+    _exact_weight,
     _exact_weights,
     _log_probabilities,
-    statistical_weight,
+    _log_weight,
 )
 from .core import (
     EnergySpectrum,
@@ -235,7 +236,7 @@ def check_einstein_convergence(
     previous = math.inf
     for total_n in n_schedule:
         m = round_to_macrostate(total_n, p.entries)
-        log_p_exact = math.log(statistical_weight(m).exact) + math.fsum(
+        log_p_exact = math.log(_exact_weight(m.occupations)) + math.fsum(
             x * math.log(q) for x, q in zip(m.occupations, prior.entries) if x
         )
         mean = [total_n * q for q in prior.entries]
@@ -298,7 +299,7 @@ def check_weight_dominance(
             exact = str(w_max)
         else:
             balanced = round_to_macrostate(total_n, [1.0 / n] * n)
-            log_w_max = statistical_weight(balanced).log_value
+            log_w_max = _log_weight(balanced.occupations)
             exact = f"lgamma:{log_w_max:.17g}"
         ratio = log_w_max / (total_n * math.log(n))
         reports.append(

@@ -63,22 +63,26 @@ def mean_energy_closed(model: OscillatorModel, beta: float) -> float:
     return model.h_nu * (1.0 + 2.0 * bose)
 
 
+def _tail(numerator: float, power: float) -> float:
+    # the tail is unbounded once the power of 1 - x underflows to 0
+    return numerator / power if power else math.inf
+
+
 def _tail_g0(x: float, y: float, m: int) -> float:
     # sum_{i>=m} x^i
-    return x**m / y
+    return _tail(x**m, y)
 
 
 def _tail_g1(x: float, y: float, m: int) -> float:
     # sum_{i>=m} i x^i
-    return x**m * (m - (m - 1) * x) / y**2
+    return _tail(x**m * (m - (m - 1) * x), y**2)
 
 
 def _tail_g2(x: float, y: float, m: int) -> float:
     # sum_{i>=m} i^2 x^i
-    return (
-        x**m
-        * (m * m - (2 * m * m - 2 * m - 1) * x + (m - 1) ** 2 * x * x)
-        / y**3
+    return _tail(
+        x**m * (m * m - (2 * m * m - 2 * m - 1) * x + (m - 1) ** 2 * x * x),
+        y**3,
     )
 
 

@@ -26,6 +26,15 @@ def run_cli(*args):
     )
 
 
+def run_main(*args):
+    """cli.main in process: (exit code, stdout text)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(args))
+    return code, out.getvalue()
+
+
 def parse_csv(data: bytes):
     rows = list(csv.reader(io.StringIO(data.decode())))
     header, body = rows[0], rows[1:]
@@ -77,6 +86,13 @@ class TestDistribution:
         proc = run_cli("distribution", "--spec", str(path), "--beta", "1")
         assert proc.returncode == 2
         assert b"error" in proc.stderr
+
+    def test_prior_sum_beyond_float_range_exits_2(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"levels": [0, 1], "priors": [1e308, 1e308], "N": 2}')
+        code, out = run_main("distribution", "--spec", str(path), "--beta", "1")
+        assert code == 2
+        assert out == ""
 
     def test_unknown_field_exits_2(self, tmp_path):
         path = tmp_path / "extra.json"
@@ -162,6 +178,15 @@ class TestSolve:
         beta = float(body[0][header.index("beta")])
         assert abs(beta) <= 1e-10
 
+    def test_symmetric_target_is_exactly_beta_zero(self, uniform_spec):
+        code, out = run_main("solve", "--spec", uniform_spec,
+                             "--target-energy", "0.5")
+        assert code == 0
+        header, body = parse_csv(out.encode())
+        for row in body:
+            assert row[header.index("beta")] == "0"
+            assert row[header.index("temperature")] == ""
+
     def test_known_inverse(self, uniform_spec):
         proc = run_cli("solve", "--spec", uniform_spec,
                        "--target-energy", "0.268941")
@@ -225,6 +250,17 @@ class TestOscillator:
         assert code == 0
         _, body = parse_csv(out.getvalue().encode())
         assert all(math.isfinite(float(row[3])) for row in body)
+        assert [row[5] for row in body] == ["false", "false"]
+
+    @pytest.mark.parametrize("dim, start, stop", [
+        ("1d", "1e-160", "1e-159"), ("2d", "1e-110", "1e-109"),
+    ])
+    def test_beta_where_tail_power_underflows_exits_0(self, dim, start, stop):
+        code, out = run_main("oscillator", "--dim", dim, "--from", start,
+                             "--to", stop, "--points", "2")
+        assert code == 0
+        _, body = parse_csv(out.encode())
+        assert [row[3] for row in body] == ["inf", "inf"]
         assert [row[5] for row in body] == ["false", "false"]
 
     def test_zero_beta_in_range_exits_2(self):

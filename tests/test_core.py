@@ -69,6 +69,11 @@ class TestProbabilityVector:
         with pytest.raises(PriorSumMismatch):
             ProbabilityVector([0.5, 0.5 + 2e-12])
 
+    def test_sum_beyond_float_range_is_a_sum_mismatch(self):
+        # math.fsum overflows on these; the sum cannot be 1 either way
+        with pytest.raises(PriorSumMismatch):
+            ProbabilityVector([1e308, 1e308])
+
     def test_accepts_sum_within_tolerance(self):
         p = ProbabilityVector([0.5, 0.5 + 5e-13])
         assert abs(math.fsum(p.entries) - 1.0) <= 1e-12
@@ -167,6 +172,10 @@ class TestValidateSpec:
     def test_k_beyond_float_range_is_a_validation_error(self):
         with pytest.raises(ValidationError):
             validate_spec({"levels": [0.0], "priors": [1.0], "N": 1, "k": 10**400})
+
+    def test_prior_sum_beyond_float_range_is_a_sum_mismatch(self):
+        with pytest.raises(PriorSumMismatch):
+            validate_spec({"levels": [0, 1], "priors": [1e308, 1e308], "N": 2})
 
     def test_negative_prior(self):
         with pytest.raises(NegativePrior):

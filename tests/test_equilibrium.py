@@ -242,3 +242,149 @@ class TestEquilibriumEntropies:
             if prior_entropy < math.log(n) - 1e-6 and not s_u > s_p:
                 strict_misses += 1
         assert strict_misses == 0
+
+
+def dyadic_system(rng):
+    """Levels on a 1/1024 grid in [0, 2], so shifts by integers and scalings
+    by powers of two are exact in floating point."""
+    n = int(rng.integers(2, 9))
+    levels = rng.permutation(2049)[:n] / 1024.0
+    raw = rng.dirichlet(np.ones(n)) + 0.05
+    return levels, ProbabilityVector(raw / raw.sum())
+
+
+def dyadic_target(rng, levels):
+    lo, hi = int(levels.min() * 1024), int(levels.max() * 1024)
+    return int(rng.integers(lo + 1, hi)) / 1024.0
+
+
+class TestOffsetAndScale:
+    """p depends on the energies only through E - E_min, and beta on the
+    energies only through (E - E_min) / (E_max - E_min)."""
+
+    def test_shift_leaves_p_and_beta_unchanged(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            levels, prior = dyadic_system(rng)
+            if levels.min() + 1 / 1024 >= levels.max():
+                continue
+            target = dyadic_target(rng, levels)
+            beta = float(rng.uniform(-5.0, 5.0))
+            base = EnergySpectrum(levels)
+            for shift in (1.0, -37.0, 1e7, -3e9, 2.0**40):
+                moved = EnergySpectrum(levels + shift)
+                assert (
+                    generalized_distribution(moved, prior, beta).distribution
+                    == generalized_distribution(base, prior, beta).distribution
+                )
+                assert (
+                    solve_beta(moved, prior, target + shift).beta
+                    == solve_beta(base, prior, target).beta
+                )
+
+    def test_scaling_energies_and_dividing_beta_leaves_p_unchanged(self):
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            levels, prior = dyadic_system(rng)
+            beta = float(rng.uniform(-5.0, 5.0))
+            want = generalized_distribution(EnergySpectrum(levels), prior, beta)
+            for c in (2.0**-30, 0.5, 8.0, 2.0**600):  # exact in floating point
+                got = generalized_distribution(
+                    EnergySpectrum(levels * c), prior, beta / c
+                )
+                assert got.distribution == want.distribution
+            for c in (1e-250, 3.7, 1e200):
+                got = generalized_distribution(
+                    EnergySpectrum(levels * c), prior, beta / c
+                )
+                assert np.allclose(got.distribution.entries,
+                                   want.distribution.entries,
+                                   rtol=1e-12, atol=0.0)
+
+    def test_scaling_energies_divides_beta(self):
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            levels, prior = dyadic_system(rng)
+            if levels.min() + 1 / 1024 >= levels.max():
+                continue
+            target = dyadic_target(rng, levels)
+            beta = solve_beta(EnergySpectrum(levels), prior, target).beta
+            for c in (2.0**-40, 4.0, 2.0**700):
+                scaled = solve_beta(EnergySpectrum(levels * c), prior, target * c)
+                assert scaled.beta == beta / c
+
+
+class TestSolverRegressions:
+    """Inputs on which a solver working in absolute energies stalls or
+    drifts."""
+
+    def test_offset_far_above_the_range(self):
+        target = 1e7 + 0.7
+        sol = solve_beta(
+            EnergySpectrum([1e7, 1e7 + 1, 1e7 + 2]), uniform_prior(3), target
+        )
+        # the same problem in shifted coordinates, target - E_min exactly
+        ref = solve_beta(
+            EnergySpectrum([0.0, 1.0, 2.0]), uniform_prior(3), target - 1e7
+        )
+        assert sol.beta == ref.beta
+        assert sol.beta == pytest.approx(0.4661214579839947, rel=1e-14)
+
+    def test_range_near_float_max(self):
+        sol = solve_beta(EnergySpectrum([0.0, 1e300]), uniform_prior(2), 1e299)
+        # two levels: p_1 / p_0 = exp(-beta 1e300) = 0.1 / 0.9
+        assert sol.beta == pytest.approx(math.log(9.0) / 1e300, rel=1e-14)
+        assert sol.distribution.entries == pytest.approx((0.9, 0.1), rel=1e-14)
+
+    def test_ten_levels_scaled_by_1e200(self):
+        rng = np.random.default_rng(53)
+        levels = rng.uniform(0.0, 1.0, 10)
+        prior = uniform_prior(10)
+        target = float(levels.min() + 0.3 * (levels.max() - levels.min()))
+        ref = solve_beta(EnergySpectrum(levels), prior, target)
+        sol = solve_beta(EnergySpectrum(levels * 1e200), prior, target * 1e200)
+        assert sol.beta * 1e200 == pytest.approx(ref.beta, rel=1e-12)
+
+    def test_symmetric_target_is_exactly_zero(self):
+        assert solve_beta(TWO_LEVEL, uniform_prior(2), 0.5).beta == 0.0
+        spectrum = EnergySpectrum([0.0, 0.5, 1.5])
+        prior = ProbabilityVector([0.5, 0.0, 0.5])
+        assert solve_beta(spectrum, prior, 0.75).beta == 0.0
+
+    def test_saturated_tails(self):
+        # targets that sit e^-690 from an edge, or a prior mass of 1e-320
+        sol = solve_beta(TWO_LEVEL, uniform_prior(2), 1e-300)
+        assert sol.beta == pytest.approx(math.log(1e300 - 1.0), rel=1e-14)
+        sol = solve_beta(TWO_LEVEL, ProbabilityVector([1.0, 1e-320]), 0.5)
+        assert sol.beta == pytest.approx(math.log(1e-320), rel=1e-3)
+
+    def test_builds_one_distribution_in_few_kernel_evaluations(
+        self, monkeypatch
+    ):
+        from boltzkit import equilibrium
+
+        calls = {"kernel": 0, "distribution": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(equilibrium, "_exponential_family",
+                            counted("kernel", equilibrium._exponential_family))
+        monkeypatch.setattr(equilibrium, "generalized_distribution",
+                            counted("distribution",
+                                    equilibrium.generalized_distribution))
+        rng = np.random.default_rng(59)
+        for _ in range(8):
+            levels = 10 ** rng.uniform(-3, 3) * (rng.uniform(0, 1e3)
+                                                  + rng.uniform(0, 1, 2000))
+            raw = rng.uniform(0.05, 1.0, 2000)
+            lo, hi = levels.min(), levels.max()
+            target = float(lo + (hi - lo) * rng.uniform(0.25, 0.75))
+            calls.update(kernel=0, distribution=0)
+            solve_beta(EnergySpectrum(levels), ProbabilityVector(raw / raw.sum()),
+                       target)
+            assert calls["distribution"] == 1
+            assert calls["kernel"] <= 10  # the returned distribution included

@@ -110,6 +110,17 @@ class TestSeries:
         assert math.isfinite(value) and math.isfinite(bound)
         assert abs(value - mean_energy_closed(model, 1e-18)) <= bound
 
+    @pytest.mark.parametrize("dim, beta", [
+        (LIN, 1e-160), (LIN, 1e-170), (PLA, 1e-110),
+    ])
+    def test_tail_bound_unbounded_where_power_of_one_minus_x_underflows(
+        self, dim, beta
+    ):
+        # (1 - x)**2 or (1 - x)**3 is subnormal or 0 here: the bound is inf
+        model = OscillatorModel(1.0, dim, 256)
+        value, bound = mean_energy_series(model, beta)
+        assert math.isfinite(value) and bound == math.inf
+
     def test_deep_quantum_regime_stays_finite(self):
         value, bound = mean_energy_series(OscillatorModel(1.0, PLA, 64), 800.0)
         assert value == pytest.approx(1.0, abs=1e-12)
