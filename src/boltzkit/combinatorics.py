@@ -114,12 +114,29 @@ class CompositionSet:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Lexicographic successor walk over one mutable occupation list."""
     if parts == 1:
         yield (total,)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    occ = [0] * parts
+    occ[-1] = total
+    while True:
+        yield tuple(occ)
+        last = occ[-1]
+        if last:  # move one particle from the last level to its neighbour
+            occ[-2] += 1
+            occ[-1] = last - 1
+            continue
+        # the last level is empty: move one particle of the rightmost
+        # occupied level k one level left, and the rest to the last level
+        k = parts - 2
+        while k and not occ[k]:
+            k -= 1
+        if not k:  # (total, 0, ..., 0): the walk is complete
+            return
+        occ[k - 1] += 1
+        occ[-1] = occ[k] - 1
+        occ[k] = 0
 
 
 def enumerate_compositions(total: int, parts: int) -> CompositionSet:

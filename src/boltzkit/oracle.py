@@ -113,8 +113,14 @@ def check_normalization_and_means(
     exact_prior: Sequence[Fraction] | None = None,
     cap: int = DEFAULT_SIZE_CAP,
 ) -> list[OracleReport]:
-    """Exact-rational check that macrostate probabilities sum to 1 and that
+    """Exact check that macrostate probabilities sum to 1 and that
     occupation means equal N * prior, by full enumeration.
+
+    With the priors over their common denominator D, q_i = a_i / D, each
+    composition adds the integer W * prod(a_i ** N_i) to a sum that must
+    come to D**N, and N_j times it to one that must come to N q_j D**N.
+    Only these totals become fractions; the expected values are computed
+    without enumerating.
 
     Floats are exact rationals, so the default path converts the stored
     prior exactly; pass ``exact_prior`` when the intended rational (say
@@ -126,30 +132,35 @@ def check_normalization_and_means(
     comps = CompositionSet(total=total_n, parts=n_levels)
     comps.require_within_cap(cap)
 
-    total_p = Fraction(0)
-    means = [Fraction(0) for _ in range(n_levels)]
+    denominator = math.lcm(*(q.denominator for q in prior))
+    powers = [
+        [a**x for x in range(total_n + 1)]
+        for a in (q.numerator * (denominator // q.denominator) for q in prior)
+    ]
+    total_t = 0
+    moments = [0] * n_levels
     for occ, w in _exact_weights(comps):
-        p = Fraction(w)
-        for x, q in zip(occ, prior):
-            if x:
-                p *= q**x
-        total_p += p
+        t = w
+        for power, x in zip(powers, occ):
+            t *= power[x]
+        total_t += t
         for j, x in enumerate(occ):
             if x:
-                means[j] += x * p
+                moments[j] += x * t
+    scale = denominator**total_n
 
     instance = f"N={total_n} n={n_levels} prior={[str(q) for q in prior]}"
     reports = [
         _exact_report(
             "normalization_sums_to_one", instance, expected=Fraction(1),
-            actual=total_p,
+            actual=Fraction(total_t, scale),
         )
     ]
-    for j, mean in enumerate(means):
+    for j, moment in enumerate(moments):
         reports.append(
             _exact_report(
                 f"mean_occupation_level_{j + 1}", instance,
-                expected=total_n * prior[j], actual=mean,
+                expected=total_n * prior[j], actual=Fraction(moment, scale),
             )
         )
     return reports

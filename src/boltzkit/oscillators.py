@@ -45,22 +45,19 @@ class OscillatorModel:
             raise ValidationError(f"truncation {self.truncation} must be >= 1")
 
 
-def _bose_factor(x: float) -> float:
-    # 1/(exp(x) - 1); the x < 1e-8 branch avoids cancellation near zero.
-    if x < 1e-8:
-        return 1.0 / x - 0.5 + x / 12.0
-    return math.exp(-x) / (-math.expm1(-x))
-
-
 def mean_energy_closed(model: OscillatorModel, beta: float) -> float:
     """Closed-form mean energy per oscillator at inverse temperature beta."""
     if not (beta > 0.0):
         raise NonPositiveBeta(f"beta {beta!r} must be positive")
     x = beta * model.h_nu
-    bose = _bose_factor(x)
-    if model.dimensionality is Dimensionality.LINEAR_1D:
-        return model.h_nu * (0.5 + bose)
-    return model.h_nu * (1.0 + 2.0 * bose)
+    linear = model.dimensionality is Dimensionality.LINEAR_1D
+    ground, modes = (0.5, 1.0) if linear else (1.0, 2.0)
+    if x < 1e-8:
+        # h_nu (ground + modes/(exp(x) - 1)) = modes (1/beta + h_nu x/12)
+        # + O(x^3): no cancellation, and finite where x underflows to 0
+        return modes * (1.0 / beta + model.h_nu * x / 12.0)
+    bose = math.exp(-x) / (-math.expm1(-x))  # 1/(exp(x) - 1)
+    return model.h_nu * (ground + modes * bose)
 
 
 def _tail(numerator: float, power: float) -> float:

@@ -263,6 +263,17 @@ class TestOscillator:
         assert [row[3] for row in body] == ["inf", "inf"]
         assert [row[5] for row in body] == ["false", "false"]
 
+    def test_beta_h_nu_underflowing_to_zero_exits_0(self):
+        for dim, modes in (("1d", 1.0), ("2d", 2.0)):
+            code, out = run_main("oscillator", "--dim", dim, "--h-nu", "1e-200",
+                                 "--from", "1e-200", "--to", "2e-200",
+                                 "--points", "2")
+            assert code == 0
+            _, body = parse_csv(out.encode())
+            assert [float(row[1]) for row in body] == pytest.approx(
+                [modes * 1e200, modes * 5e199], rel=1e-11
+            )
+
     def test_zero_beta_in_range_exits_2(self):
         proc = run_cli("oscillator", "--dim", "1d", "--from", "0",
                        "--to", "1", "--points", "2")
@@ -281,6 +292,13 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3),
     max_leaves=6,
 )
+
+
+#: Any float, weighted toward the edges of the float range.
+EXTREME_FLOATS = st.floats() | st.floats(-10.0, 10.0) | st.sampled_from([
+    0.0, -0.0, 5e-324, 1e-310, 1e-200, 1e-18, 1e300, 1.7976931348623157e308,
+    math.inf, -math.inf, math.nan,
+])
 
 
 @st.composite
@@ -333,6 +351,32 @@ class TestArbitraryInput:
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([name, "--spec", str(path), f"{flag}={value!r}",
                              "--format", fmt])
+        assert code in (0, 2, 3, 4)
+        if code != 0:
+            assert out.getvalue() == ""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from(["1d", "2d"]),
+        h_nu=EXTREME_FLOATS,
+        start=EXTREME_FLOATS,
+        stop=EXTREME_FLOATS,
+        points=st.integers(-1, 8),
+        levels=st.integers(-1, 300),
+        spacing=st.sampled_from(["linear", "log"]),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    def test_oscillator_exit_code_contract(
+        self, dim, h_nu, start, stop, points, levels, spacing, fmt
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([
+                "oscillator", "--dim", dim, f"--h-nu={h_nu!r}",
+                f"--from={start!r}", f"--to={stop!r}", f"--points={points}",
+                f"--levels={levels}", "--spacing", spacing, "--format", fmt,
+            ])
         assert code in (0, 2, 3, 4)
         if code != 0:
             assert out.getvalue() == ""

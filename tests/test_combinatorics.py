@@ -4,6 +4,7 @@ Expected values are produced by independent routes (direct factorial
 arithmetic, stars-and-bars counting, exact rational products) and frozen.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,7 +22,11 @@ from boltzkit import (
     uniform_prior,
     weight_ratio_probability,
 )
-from boltzkit.combinatorics import log_macrostate_probability
+from boltzkit.combinatorics import (
+    CompositionSet,
+    _compositions,
+    log_macrostate_probability,
+)
 from boltzkit.errors import SizeGuardExceeded
 
 
@@ -88,6 +93,19 @@ class TestCompositions:
         seq = [m.occupations for m in enumerate_compositions(total, parts)]
         assert seq == sorted(seq)
         assert len(seq) == len(set(seq))
+
+    @pytest.mark.parametrize("parts", range(1, 6))
+    @pytest.mark.parametrize("total", range(0, 9))
+    def test_successor_walk_matches_sorted_product(self, total, parts):
+        want = sorted(
+            occ
+            for occ in itertools.product(range(total + 1), repeat=parts)
+            if sum(occ) == total
+        )
+        got = list(_compositions(total, parts))
+        assert got == want
+        assert len(got) == CompositionSet(total, parts).cardinality
+        assert len(set(got)) == len(got)
 
     def test_size_guard_on_materialize(self):
         comps = enumerate_compositions(200, 5)  # ~70e6 members

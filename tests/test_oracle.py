@@ -22,10 +22,14 @@ from boltzkit import (
     round_to_macrostate,
     uniform_prior,
 )
-from boltzkit.combinatorics import log_macrostate_probability
+from boltzkit import combinatorics
+from boltzkit.combinatorics import (
+    log_macrostate_probability,
+    macrostate_probability_exact,
+)
 from boltzkit.equilibrium import generalized_distribution
 from boltzkit.errors import SizeGuardExceeded, SupportViolation
-from boltzkit.oracle import format_fraction
+from boltzkit.oracle import _exact_report, format_fraction
 
 
 def two_level_spec(priors, particles):
@@ -77,6 +81,91 @@ class TestNormalizationAndMeans:
         reports = check_normalization_and_means(spec, fractions)
         assert all(r.passed for r in reports)
         assert [r.exact_value for r in reports[1:]] == ["2", "3", "5"]
+
+    @pytest.mark.parametrize(
+        "exact_prior, float_prior",
+        [
+            # non-dyadic rationals
+            ([Fraction(1, 3), Fraction(2, 3)], None),
+            ([Fraction(1, 10), Fraction(3, 10), Fraction(3, 5)], None),
+            ([Fraction(1, 3), Fraction(1, 10), Fraction(1, 6), Fraction(2, 5)],
+             None),
+            # a level no particle may occupy
+            ([Fraction(0), Fraction(1, 3), Fraction(2, 3)], None),
+            ([Fraction(1, 7), Fraction(0), Fraction(2, 7), Fraction(4, 7)],
+             None),
+            # float priors, converted exactly (0.1 is not 1/10)
+            (None, [1.0]),
+            (None, [0.1, 0.9]),
+            (None, [0.1, 0.2, 0.7]),
+            (None, [0.1, 0.2, 0.3, 0.4]),
+            # priors that do not sum to 1: both routes fail the same way
+            ([Fraction(1, 3)], None),
+            ([Fraction(1, 3), Fraction(1, 3)], None),
+            ([Fraction(1, 10)] * 4, None),
+        ],
+        ids=["thirds-2", "tenths-3", "mixed-4", "zero-3", "zero-4",
+             "float-1", "float-2", "float-3", "float-4",
+             "short-1", "short-2", "short-4"],
+    )
+    def test_matches_per_composition_fraction_route(
+        self, exact_prior, float_prior
+    ):
+        """Every report field equals the one built from a Fraction product
+        per composition, over compositions enumerated independently."""
+        n = len(exact_prior or float_prior)
+        prior = exact_prior or [Fraction(q) for q in float_prior]
+        for total in range(1, 11):
+            spec = SystemSpec(
+                spectrum=EnergySpectrum([float(i) for i in range(n)]),
+                prior=ProbabilityVector(float_prior or [1.0 / n] * n),
+                particles=total,
+            )
+            total_p = Fraction(0)
+            means = [Fraction(0)] * n
+            for occ in itertools.product(range(total + 1), repeat=n):
+                if sum(occ) != total:
+                    continue
+                p = macrostate_probability_exact(Macrostate(occ), prior)
+                total_p += p
+                for j, x in enumerate(occ):
+                    means[j] += x * p
+            instance = f"N={total} n={n} prior={[str(q) for q in prior]}"
+            want = [
+                _exact_report("normalization_sums_to_one", instance,
+                              Fraction(1), total_p)
+            ] + [
+                _exact_report(f"mean_occupation_level_{j + 1}", instance,
+                              total * prior[j], mean)
+                for j, mean in enumerate(means)
+            ]
+            reports = check_normalization_and_means(spec, exact_prior)
+            assert reports == want
+            # binary 0.1 + 0.9 is not 1 either
+            assert reports[0].passed is (sum(prior) == 1)
+
+    @pytest.mark.parametrize("dropped", [0, 13, -1])
+    def test_dropping_one_composition_fails(self, monkeypatch, dropped):
+        """The integer sums see every composition: losing any one of them
+        (first, one in the middle, last) fails the normalization."""
+        walk = combinatorics._compositions
+
+        def planted(total, parts):
+            members = list(walk(total, parts))
+            del members[dropped]
+            return iter(members)
+
+        monkeypatch.setattr(combinatorics, "_compositions", planted)
+        spec = SystemSpec(
+            spectrum=EnergySpectrum([0.0, 1.0, 2.0]),
+            prior=ProbabilityVector([0.25, 0.25, 0.5]),
+            particles=6,
+        )
+        reports = check_normalization_and_means(
+            spec, [Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)]
+        )
+        assert reports[0].passed is False
+        assert reports[0].exact_value != "1"
 
     def test_size_guard(self):
         spec = SystemSpec(

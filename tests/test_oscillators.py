@@ -63,6 +63,14 @@ class TestClosedForm:
             assert got == pytest.approx(0.5 + series, rel=1e-12)
             assert got == pytest.approx(0.5 + robust, rel=1e-12)
 
+    @pytest.mark.parametrize("dim, modes", [(LIN, 1.0), (PLA, 2.0)])
+    def test_finite_where_beta_h_nu_underflows_to_zero(self, dim, modes):
+        # beta * h_nu = 1e-400 reads 0.0; the energy is still modes / beta
+        beta = 1e-200
+        assert beta * 1e-200 == 0.0
+        got = mean_energy_closed(OscillatorModel(1e-200, dim), beta)
+        assert got == pytest.approx(modes / beta, rel=1e-15)
+
     def test_rejects_non_positive_beta(self):
         with pytest.raises(NonPositiveBeta):
             mean_energy_closed(OscillatorModel(1.0, LIN), 0.0)
