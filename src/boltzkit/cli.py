@@ -47,17 +47,30 @@ def _fmt(x: float) -> str:
 
 
 def _grid(args) -> list[float]:
-    """The --from/--to/--points/--spacing grid, validated."""
-    if not (args.start < args.stop):
-        raise ValidationError(
-            f"sweep needs start < stop, got {args.start} >= {args.stop}"
-        )
+    """The --from/--to/--points/--spacing grid, validated.
+
+    A linear grid whose width stop - start overflows is built on the
+    halved endpoints and doubled; halving and doubling are exact there.
+    geomspace pins both endpoints, so an overflow of its last power is
+    harmless.
+    """
+    start, stop = args.start, args.stop
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError(f"sweep needs finite endpoints, got {start}, {stop}")
+    if not (start < stop):
+        raise ValidationError(f"sweep needs start < stop, got {start} >= {stop}")
     if args.points < 2:
         raise ValidationError(f"sweep needs >= 2 points, got {args.points}")
-    if args.spacing == "log" and not (args.start > 0):
-        raise ValidationError("log spacing requires start > 0")
-    space = np.geomspace if args.spacing == "log" else np.linspace
-    return [float(v) for v in space(args.start, args.stop, args.points)]
+    if args.spacing == "log":
+        if not (start > 0):
+            raise ValidationError("log spacing requires start > 0")
+        with np.errstate(over="ignore"):
+            grid = np.geomspace(start, stop, args.points)
+    elif math.isfinite(stop - start):
+        grid = np.linspace(start, stop, args.points)
+    else:
+        grid = 2.0 * np.linspace(start / 2.0, stop / 2.0, args.points)
+    return [float(v) for v in grid]
 
 
 def _emit_rows(fmt: str, header: list[str], rows: list[list], out) -> None:
@@ -68,11 +81,8 @@ def _emit_rows(fmt: str, header: list[str], rows: list[list], out) -> None:
             writer.writerow([_csv_cell(x) for x in row])
     else:
         for row in rows:
-            record = {
-                key: (float(_fmt(v)) if isinstance(v, float) else v)
-                for key, v in zip(header, row)
-            }
-            out.write(json.dumps(record) + "\n")
+            record = {key: _json_cell(v) for key, v in zip(header, row)}
+            out.write(json.dumps(record, allow_nan=False) + "\n")
 
 
 def _emit_levels(fmt: str, spec: SystemSpec, sol, columns: list[str],
@@ -88,6 +98,13 @@ def _emit_levels(fmt: str, spec: SystemSpec, sol, columns: list[str],
     ]
     header = ["i", "energy", "prior", "probability", *columns]
     _emit_rows(fmt, header, rows, out)
+
+
+def _json_cell(x):
+    """A float rounded as in CSV; a non-finite one as its CSV text."""
+    if not isinstance(x, float):
+        return x
+    return float(_fmt(x)) if math.isfinite(x) else _fmt(x)
 
 
 def _csv_cell(x) -> str:

@@ -79,7 +79,8 @@ class SizeGuardExceeded(ValidationError):
 # -- numeric ---------------------------------------------------------------
 
 class DegeneratePrior(NumericError):
-    """All prior-weighted Boltzmann factors underflowed to zero."""
+    """ln Z_w, the log of the prior-weighted partition sum, is beyond float
+    range (levels [1e308, 1e308] at beta = 10 give ln Z_w = -1e309)."""
 
 
 class TruncationInsufficient(NumericError):

@@ -45,11 +45,14 @@ EXACT_MODE_PARTICLE_CAP = 300
 class OracleReport:
     """One verified claim: exact quantity vs approximate route.
 
-    For value checks, ``passed`` means the error is within ``tolerance``
-    (absolute or relative per check). For convergence checks, one report is
-    emitted per schedule point, ``tolerance`` holds the previous point's
-    metric, ``abs_error`` the signed change toward it (negative = margin),
-    and ``passed`` the strict monotonicity verdict.
+    Every row has ``rel_error = abs_error / |reference|``, or ``abs_error``
+    where the reference is 0. For value checks the reference is the exact
+    value (or the tolerance, for the most-probable state) and ``passed``
+    means the error is within ``tolerance``. For convergence checks, one
+    report is emitted per schedule point: the reference and ``tolerance``
+    are the previous point's metric, ``abs_error`` is the signed change
+    (negative = margin) and ``passed`` means strict improvement. The first
+    point passes, with ``abs_error``, ``rel_error`` and ``tolerance`` 0.
     """
 
     check_name: str
@@ -150,37 +153,47 @@ def check_normalization_and_means(
     scale = denominator**total_n
 
     instance = f"N={total_n} n={n_levels} prior={[str(q) for q in prior]}"
-    reports = [
-        _exact_report(
-            "normalization_sums_to_one", instance, expected=Fraction(1),
-            actual=Fraction(total_t, scale),
-        )
+    return [
+        _exact_report("normalization_sums_to_one", instance, expected=Fraction(1),
+                      actual=Fraction(total_t, scale))
+    ] + [
+        _exact_report(f"mean_occupation_level_{j + 1}", instance,
+                      expected=total_n * prior[j], actual=Fraction(moment, scale))
+        for j, moment in enumerate(moments)
     ]
-    for j, moment in enumerate(moments):
-        reports.append(
-            _exact_report(
-                f"mean_occupation_level_{j + 1}", instance,
-                expected=total_n * prior[j], actual=Fraction(moment, scale),
-            )
-        )
-    return reports
+
+
+def _report(
+    name: str, instance: str, exact_value: str, approx_value, error,
+    reference, tolerance, passed: bool,
+) -> OracleReport:
+    """The one row builder: rel_error is error / |reference|, or error
+    where the reference is 0 (exact for Fractions, then rounded)."""
+    rel = error / abs(reference) if reference != 0 else error
+    return OracleReport(name, instance, exact_value, float(approx_value),
+                        float(error), float(rel), passed, float(tolerance))
 
 
 def _exact_report(
     name: str, instance: str, expected: Fraction, actual: Fraction
 ) -> OracleReport:
     err = abs(actual - expected)
-    rel = err / abs(expected) if expected != 0 else err
-    return OracleReport(
-        check_name=name,
-        instance=instance,
-        exact_value=format_fraction(actual),
-        approx_value=float(expected),
-        abs_error=float(err),
-        rel_error=float(rel),
-        passed=err == 0,
-        tolerance=0.0,
-    )
+    return _report(name, instance, format_fraction(actual), expected, err,
+                   expected, 0.0, err == 0)
+
+
+def _schedule(
+    name: str, points: Sequence[tuple[str, str, float]], increasing: bool
+) -> list[OracleReport]:
+    """Convergence rows over (instance, exact_value, metric) points: each
+    must strictly improve on the previous one (grow when ``increasing``,
+    shrink otherwise). The first point has nothing to improve on and passes."""
+    reports = [_report(name, *points[0], 0.0, 0.0, 0.0, True)] if points else []
+    for (_, _, previous), (instance, exact_value, metric) in zip(points, points[1:]):
+        change = previous - metric if increasing else metric - previous
+        reports.append(_report(name, instance, exact_value, metric, change,
+                               previous, previous, change < 0))
+    return reports
 
 
 def check_most_probable_state(
@@ -211,15 +224,10 @@ def check_most_probable_state(
         abs(x / total_n - q) for x, q in zip(best, p.entries)
     )
     tol = n_levels / total_n
-    return OracleReport(
-        check_name="most_probable_state_near_distribution",
-        instance=f"N={total_n} n={n_levels} beta={beta:g}",
-        exact_value=str(list(best)),
-        approx_value=distance,
-        abs_error=distance,
-        rel_error=distance / tol,
-        passed=distance <= tol,
-        tolerance=tol,
+    return _report(
+        "most_probable_state_near_distribution",
+        f"N={total_n} n={n_levels} beta={beta:g}", str(list(best)),
+        distance, distance, tol, tol, distance <= tol,
     )
 
 
@@ -243,8 +251,7 @@ def check_einstein_convergence(
         if a > 0.0 and b <= 0.0:
             raise SupportViolation("p has mass where the prior has none")
 
-    reports = []
-    previous = math.inf
+    points = []
     for total_n in n_schedule:
         m = round_to_macrostate(total_n, p.entries)
         log_p_exact = math.log(_exact_weight(m.occupations)) + math.fsum(
@@ -253,22 +260,11 @@ def check_einstein_convergence(
         mean = [total_n * q for q in prior.entries]
         # (S - S_ref)/k = -occupation_cross_entropy/k, exactly.
         gap = abs(log_p_exact + occupation_cross_entropy(m, mean, k) / k)
-        d = gap / total_n
-        reports.append(
-            OracleReport(
-                check_name="einstein_probability_convergence",
-                instance=f"N={total_n} p={list(p.entries)} "
-                f"prior={list(prior.entries)}",
-                exact_value=f"{log_p_exact:.17g}",
-                approx_value=d,
-                abs_error=d - previous,
-                rel_error=d / previous if math.isfinite(previous) else 0.0,
-                passed=d < previous,
-                tolerance=previous,
-            )
-        )
-        previous = d
-    return reports
+        points.append((
+            f"N={total_n} p={list(p.entries)} prior={list(prior.entries)}",
+            f"{log_p_exact:.17g}", gap / total_n,
+        ))
+    return _schedule("einstein_probability_convergence", points, increasing=False)
 
 
 def check_weight_dominance(
@@ -283,23 +279,12 @@ def check_weight_dominance(
     """
     if n < 1:
         raise SupportViolation(f"need n >= 1 levels, got {n}")
-    reports = []
-    previous = -math.inf
+    name = "weight_dominance_ratio"
+    if n == 1:
+        return [_report(name, f"N={total_n} n=1", "1", 1.0, 0.0, 1.0, 0.0, True)
+                for total_n in n_schedule]
+    points = []
     for total_n in n_schedule:
-        if n == 1:
-            reports.append(
-                OracleReport(
-                    check_name="weight_dominance_ratio",
-                    instance=f"N={total_n} n=1",
-                    exact_value="1",
-                    approx_value=1.0,
-                    abs_error=0.0,
-                    rel_error=0.0,
-                    passed=True,
-                    tolerance=0.0,
-                )
-            )
-            continue
         comps = CompositionSet(total=total_n, parts=n)
         if (
             comps.cardinality <= min(cap, EXACT_MODE_CAP)
@@ -312,26 +297,21 @@ def check_weight_dominance(
             balanced = round_to_macrostate(total_n, [1.0 / n] * n)
             log_w_max = _log_weight(balanced.occupations)
             exact = f"lgamma:{log_w_max:.17g}"
-        ratio = log_w_max / (total_n * math.log(n))
-        reports.append(
-            OracleReport(
-                check_name="weight_dominance_ratio",
-                instance=f"N={total_n} n={n}",
-                exact_value=exact,
-                approx_value=ratio,
-                abs_error=previous - ratio,
-                rel_error=(previous - ratio) / abs(previous)
-                if math.isfinite(previous)
-                else 0.0,
-                passed=ratio > previous,
-                tolerance=previous if math.isfinite(previous) else 0.0,
-            )
+        points.append(
+            (f"N={total_n} n={n}", exact, log_w_max / (total_n * math.log(n)))
         )
-        previous = ratio
-    return reports
+    return _schedule(name, points, increasing=True)
 
 
 # -- default suite ----------------------------------------------------------
+
+def _spec(levels, priors, particles: int) -> SystemSpec:
+    return SystemSpec(
+        spectrum=EnergySpectrum(levels),
+        prior=ProbabilityVector([float(q) for q in priors]),
+        particles=particles,
+    )
+
 
 def default_suite(scale: str = "quick") -> list[OracleReport]:
     """Canonical oracle run. ``quick`` keeps N <= 12; ``full`` raises the
@@ -355,11 +335,7 @@ def default_suite(scale: str = "quick") -> list[OracleReport]:
             ([0.0, 0.5, 2.0], [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)], 20)
         )
     for levels, fractions, particles in norm_instances:
-        spec = SystemSpec(
-            spectrum=EnergySpectrum(levels),
-            prior=ProbabilityVector([float(q) for q in fractions]),
-            particles=particles,
-        )
+        spec = _spec(levels, fractions, particles)
         reports.extend(check_normalization_and_means(spec, fractions))
 
     mode_instances = [
@@ -368,11 +344,7 @@ def default_suite(scale: str = "quick") -> list[OracleReport]:
         ([0.0, 1.0, 2.0], [0.5, 0.3, 0.2], 12),
     ]
     for levels, priors, particles in mode_instances:
-        spec = SystemSpec(
-            spectrum=EnergySpectrum(levels),
-            prior=ProbabilityVector(priors),
-            particles=particles,
-        )
+        spec = _spec(levels, priors, particles)
         for beta in (0.0, 1.0):
             reports.append(check_most_probable_state(spec, beta))
 
@@ -380,11 +352,7 @@ def default_suite(scale: str = "quick") -> list[OracleReport]:
     reports.extend(check_weight_dominance(2, dominance_schedule))
 
     if scale == "full":
-        reports.extend(
-            check_einstein_convergence(
-                ProbabilityVector([0.6, 0.4]),
-                uniform_prior(2),
-                (10, 100, 1000),
-            )
-        )
+        reports.extend(check_einstein_convergence(
+            ProbabilityVector([0.6, 0.4]), uniform_prior(2), (10, 100, 1000)
+        ))
     return reports

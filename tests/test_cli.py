@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,15 @@ def run_main(*args):
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(list(args))
     return code, out.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def parse_csv(data: bytes):
@@ -94,6 +104,17 @@ class TestDistribution:
         assert code == 2
         assert out == ""
 
+    def test_log_partition_beyond_float_range_exits_3(self, tmp_path):
+        path = tmp_path / "far.json"
+        path.write_text('{"levels": [1e308, 1e308], "priors": [0.5, 0.5], "N": 1}')
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["distribution", "--spec", str(path), "--beta", "10"])
+        assert code == 3
+        assert out.getvalue() == ""
+        errors = [l for l in err.getvalue().splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and "ln Z_w" in errors[0]
+
     def test_unknown_field_exits_2(self, tmp_path):
         path = tmp_path / "extra.json"
         path.write_text('{"levels": [0, 1], "priors": [0.5, 0.5], "N": 2, "x": 1}')
@@ -130,6 +151,42 @@ class TestSweep:
         proc = run_cli("sweep", "--spec", uniform_spec, "--from", "0",
                        "--to", "1", "--points", "3", "--spacing", "log")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("grid, betas", [
+        (["--from=-1e308", "--to=1e308"], [-1e308, 0.0, 1e308]),
+        (["--from=1e300", "--to=1.7976931348623157e308", "--spacing", "log"],
+         [1e300, 1.34078079299e304, 1.79769313486e308]),
+    ], ids=["linear-width-overflows", "log-last-power-overflows"])
+    def test_grid_reaching_the_float_limit(self, uniform_spec, grid, betas):
+        code, out = run_main("sweep", "--spec", uniform_spec, *grid,
+                             "--points", "3")
+        assert code == 0
+        _, body = parse_csv(out.encode())
+        assert [float(row[0]) for row in body] == pytest.approx(betas, rel=1e-11)
+
+    def test_width_beyond_float_range_on_many_levels_exits_3(self, tmp_path):
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(
+            {"levels": list(range(1000)), "priors": [0.001] * 1000, "N": 1}
+        ))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["sweep", "--spec", str(path), "--from=-1e308",
+                             "--to=1e308", "--points", "3"])
+        assert code == 3
+        assert out.getvalue() == ""
+        assert "ln Z_w = inf" in err.getvalue()
+
+    @pytest.mark.parametrize("start, stop, points", [
+        (0.0, 4.0, 41), (-2.0, 2.0, 17), (-1e308, 7e307, 5),
+        (1e-300, 1.7976931348623157e308, 9),
+    ])
+    def test_finite_width_grid_is_linspace(self, start, stop, points):
+        args = cli.build_parser().parse_args([
+            "sweep", "--spec", "unused.json", f"--from={start!r}",
+            f"--to={stop!r}", "--points", str(points),
+        ])
+        assert cli._grid(args) == [float(v) for v in np.linspace(start, stop, points)]
 
     def test_temperature_sweep(self, uniform_spec):
         proc = run_cli("sweep", "--spec", uniform_spec, "--variable",
@@ -223,6 +280,12 @@ class TestVerify:
         assert all(r["passed"] for r in reports)
         assert b"# oracle checks passed" in proc.stderr
 
+    @pytest.mark.parametrize("scale", ["quick", "full"])
+    def test_json_reports_parse_strictly(self, scale):
+        code, out = run_main("verify", "--scale", scale, "--format", "json")
+        assert code == 0
+        assert all(r["passed"] for r in strict_json(out))
+
 
 class TestOscillator:
     def test_log_two_rows(self):
@@ -263,6 +326,14 @@ class TestOscillator:
         assert [row[3] for row in body] == ["inf", "inf"]
         assert [row[5] for row in body] == ["false", "false"]
 
+    def test_json_carries_an_infinite_bound_as_text(self):
+        code, out = run_main("oscillator", "--dim", "2d", "--from", "1e-110",
+                             "--to", "1e-109", "--points", "2", "--format", "json")
+        assert code == 0
+        records = [strict_json(line) for line in out.splitlines()]
+        assert [r["tail_bound"] for r in records] == ["inf", "inf"]
+        assert [r["beta"] for r in records] == [1e-110, 1e-109]
+
     def test_beta_h_nu_underflowing_to_zero_exits_0(self):
         for dim, modes in (("1d", 1.0), ("2d", 2.0)):
             code, out = run_main("oscillator", "--dim", dim, "--h-nu", "1e-200",
@@ -302,9 +373,10 @@ EXTREME_FLOATS = st.floats() | st.floats(-10.0, 10.0) | st.sampled_from([
 
 
 @st.composite
-def spec_objects(draw):
+def spec_objects(draw, wild=True):
     """A valid spec with up to two fields replaced by arbitrary JSON or by
-    out-of-range numbers, and at most one field left out."""
+    out-of-range numbers, and at most one field left out; with ``wild``
+    false, the valid spec itself."""
     n = draw(st.integers(min_value=1, max_value=4))
     weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
     spec = {
@@ -313,6 +385,8 @@ def spec_objects(draw):
         "N": draw(st.integers(1, 100)),
         "k": draw(st.floats(0.1, 10.0)),
     }
+    if not wild:
+        return spec
     wild = {
         "levels": st.lists(st.floats() | JSON_VALUES, min_size=n, max_size=n),
         "priors": st.lists(st.floats(min_value=0.0) | JSON_VALUES,
@@ -380,3 +454,46 @@ class TestArbitraryInput:
         assert code in (0, 2, 3, 4)
         if code != 0:
             assert out.getvalue() == ""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=spec_objects(wild=False) | spec_objects(),
+        variable=st.sampled_from(["beta", "temperature"]),
+        start=st.sampled_from([-1e308, 1e308]) | EXTREME_FLOATS,
+        stop=st.sampled_from([-1e308, 1e308]) | EXTREME_FLOATS,
+        points=st.integers(-1, 8),
+        spacing=st.sampled_from(["linear", "log"]),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    def test_sweep_exit_code_contract(
+        self, tmp_path_factory, spec, variable, start, stop, points, spacing, fmt
+    ):
+        path = tmp_path_factory.getbasetemp() / "fuzz_sweep_spec.json"
+        path.write_text(json.dumps(spec))
+        code, out = run_main(
+            "sweep", "--spec", str(path), "--variable", variable,
+            f"--from={start!r}", f"--to={stop!r}", f"--points={points}",
+            "--spacing", spacing, "--format", fmt,
+        )
+        assert code in (0, 2, 3, 4)
+        if code != 0:
+            assert out == ""
+        elif fmt == "json":
+            for line in out.splitlines():
+                strict_json(line)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scale=st.sampled_from(["quick", "full"]) | st.text(max_size=5),
+        fmt=st.sampled_from(["csv", "json"]) | st.text(max_size=5),
+    )
+    def test_verify_exit_code_contract(self, scale, fmt):
+        try:
+            code, out = run_main("verify", f"--scale={scale}", f"--format={fmt}")
+        except SystemExit as exc:  # argparse rejects the choice
+            code, out = exc.code, ""
+        assert code in (0, 2, 3, 4)
+        if code != 0:
+            assert out == ""
+        elif fmt == "json":
+            strict_json(out)

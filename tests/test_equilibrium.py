@@ -85,6 +85,15 @@ class TestBoltzmannDistribution:
                 EnergySpectrum([1e200, 2e200]), uniform_prior(2), 1e200
             )
 
+    def test_degenerate_prior_when_log_partition_leaves_float_range(self):
+        # p is the prior here, but ln Z_w = ln 1 - 10 * 1e308 is not a float
+        from boltzkit.errors import DegeneratePrior
+
+        with pytest.raises(DegeneratePrior, match="beyond float range"):
+            generalized_distribution(
+                EnergySpectrum([1e308, 1e308]), uniform_prior(2), 10.0
+            )
+
 
 class TestGeneralizedDistribution:
     def test_beta_zero_returns_prior(self):

@@ -264,6 +264,26 @@ class TestEinsteinConvergence:
         # error of ln W alone, order ln(N)/N
         assert reports[-1].approx_value < 0.05
 
+    def test_rows_carry_the_relative_change(self):
+        reports = check_einstein_convergence(
+            ProbabilityVector([0.6, 0.4]), uniform_prior(2), (10, 100, 1000)
+        )
+        first, second = reports[0], reports[1]
+        assert (first.abs_error, first.rel_error, first.tolerance) == (0.0, 0.0, 0.0)
+        assert second.tolerance == first.approx_value
+        assert second.abs_error == second.approx_value - first.approx_value
+        assert second.rel_error == second.abs_error / first.approx_value
+
+    def test_zero_previous_gap_returns_reports(self):
+        # every macrostate is (N, 0); both gaps are 0, and a gap of 0
+        # cannot shrink further, so the second row fails instead of raising
+        reports = check_einstein_convergence(
+            ProbabilityVector([1.0, 0.0]), uniform_prior(2), (1, 2)
+        )
+        assert [r.approx_value for r in reports] == [0.0, 0.0]
+        assert [r.passed for r in reports] == [True, False]
+        assert reports[1].rel_error == reports[1].abs_error == 0.0
+
     def test_support_violation(self):
         with pytest.raises(SupportViolation):
             check_einstein_convergence(
@@ -286,6 +306,13 @@ class TestWeightDominance:
     def test_exact_mode_records_the_integer(self):
         reports = check_weight_dominance(2, (10,))
         assert reports[0].exact_value == "252"
+
+    def test_zero_previous_ratio_returns_reports(self):
+        # N = 1 has W_max = 1, so the first ratio is 0
+        first, second = check_weight_dominance(2, (1, 10))
+        assert first.approx_value == 0.0 and first.passed
+        assert second.passed and second.tolerance == 0.0
+        assert second.rel_error == second.abs_error == -second.approx_value
 
     def test_degenerate_single_level(self):
         reports = check_weight_dominance(1, (5, 50))
