@@ -6,6 +6,10 @@ Data goes to stdout (CSV with a header row, or JSON lines); diagnostics and
 the version banner go to stderr. Identical invocations produce byte-identical
 data streams. Exit codes: 0 success, 1 verification failure, 2 input or
 validation error, 3 numeric failure, 4 constraint infeasibility.
+
+Subcommands import equilibrium, entropy and oracle (and so numpy) when they
+run: ``--help``, usage errors and ``oscillator`` on a linear grid never load
+numpy.
 """
 
 from __future__ import annotations
@@ -16,24 +20,11 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .core import SystemSpec, load_spec
-from .entropy import kl_divergence
-from .equilibrium import _prior_entropy, generalized_distribution, solve_beta
-from .errors import (
-    InfeasibleError,
-    NumericError,
-    ValidationError,
-)
-from .oracle import default_suite, reports_to_json
-from .oscillators import (
-    Dimensionality,
-    OscillatorModel,
-    mean_energy_closed,
-    mean_energy_series,
-)
+from .errors import InfeasibleError, NumericError, ValidationError
+from .oscillators import (Dimensionality, OscillatorModel, mean_energy_closed,
+                          mean_energy_series)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -46,13 +37,22 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _linspace(start: float, stop: float, points: int) -> list[float]:
+    """np.linspace bit for bit, in plain floats: i*step + start, or
+    (i/div)*delta + start where the step underflows to 0; stop is last."""
+    div, delta = points - 1, stop - start
+    step = delta / div
+    return [i * step + start if step else i / div * delta + start
+            for i in range(div)] + [stop]
+
+
 def _grid(args) -> list[float]:
     """The --from/--to/--points/--spacing grid, validated.
 
     A linear grid whose width stop - start overflows is built on the
     halved endpoints and doubled; halving and doubling are exact there.
     geomspace pins both endpoints, so an overflow of its last power is
-    harmless.
+    harmless. Only log spacing loads numpy.
     """
     start, stop = args.start, args.stop
     if not (math.isfinite(start) and math.isfinite(stop)):
@@ -64,13 +64,12 @@ def _grid(args) -> list[float]:
     if args.spacing == "log":
         if not (start > 0):
             raise ValidationError("log spacing requires start > 0")
+        import numpy as np
         with np.errstate(over="ignore"):
-            grid = np.geomspace(start, stop, args.points)
-    elif math.isfinite(stop - start):
-        grid = np.linspace(start, stop, args.points)
-    else:
-        grid = 2.0 * np.linspace(start / 2.0, stop / 2.0, args.points)
-    return [float(v) for v in grid]
+            return [float(v) for v in np.geomspace(start, stop, args.points)]
+    if math.isfinite(stop - start):
+        return _linspace(start, stop, args.points)
+    return [2.0 * v for v in _linspace(start / 2.0, stop / 2.0, args.points)]
 
 
 def _emit_rows(fmt: str, header: list[str], rows: list[list], out) -> None:
@@ -88,14 +87,8 @@ def _emit_rows(fmt: str, header: list[str], rows: list[list], out) -> None:
 def _emit_levels(fmt: str, spec: SystemSpec, sol, columns: list[str],
                  values: list, out) -> None:
     """One row per level: index, energy, prior, probability, then values."""
-    rows = [
-        [i, e, q, p, *values]
-        for i, (e, q, p) in enumerate(
-            zip(spec.spectrum.levels, spec.prior.entries,
-                sol.distribution.entries),
-            start=1,
-        )
-    ]
+    levels = zip(spec.spectrum.levels, spec.prior.entries, sol.distribution.entries)
+    rows = [[i, *level, *values] for i, level in enumerate(levels, start=1)]
     header = ["i", "energy", "prior", "probability", *columns]
     _emit_rows(fmt, header, rows, out)
 
@@ -124,6 +117,7 @@ def _temperature(beta: float, k: float) -> float | None:
 def _entropy_head(spec: SystemSpec) -> float:
     """The beta-free term of the closed equilibrium-entropy form: ln n + ln n
     at a uniform prior (ln Z = ln Z_w + ln n there), H(prior) otherwise."""
+    from .equilibrium import _prior_entropy
     n = spec.spectrum.count
     if max(abs(q - 1.0 / n) for q in spec.prior.entries) <= 1e-12:
         return 2.0 * math.log(n)
@@ -131,6 +125,7 @@ def _entropy_head(spec: SystemSpec) -> float:
 
 
 def cmd_distribution(args, out) -> int:
+    from .equilibrium import generalized_distribution
     spec = load_spec(args.spec)
     sol = generalized_distribution(spec.spectrum, spec.prior, args.beta)
     gibbs = spec.boltzmann_k * spec.particles * sol.entropy_per_particle
@@ -141,6 +136,8 @@ def cmd_distribution(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
+    from .entropy import kl_divergence
+    from .equilibrium import generalized_distribution
     spec = load_spec(args.spec)
     grid = _grid(args)
     temperature = args.variable == "temperature"
@@ -166,6 +163,7 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_solve(args, out) -> int:
+    from .equilibrium import solve_beta
     spec = load_spec(args.spec)
     sol = solve_beta(spec.spectrum, spec.prior, args.target_energy)
     temp = _temperature(sol.beta, spec.boltzmann_k)
@@ -176,6 +174,7 @@ def cmd_solve(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    from .oracle import default_suite, reports_to_json
     reports = default_suite(args.scale)
     passed = sum(1 for r in reports if r.passed)
     summary = f"# oracle checks passed: {passed}/{len(reports)}\n"
@@ -289,7 +288,3 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, ValidationError):
             return EXIT_VALIDATION
         return EXIT_INFEASIBLE if isinstance(exc, InfeasibleError) else EXIT_NUMERIC
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -33,7 +33,7 @@ from .core import (
 )
 from .entropy import occupation_cross_entropy
 from .equilibrium import generalized_distribution
-from .errors import SupportViolation
+from .errors import SupportViolation, ValidationError
 
 #: Enumeration sizes above these go through log-gamma instead of big
 #: integers (the particle cap keeps factorial division affordable).
@@ -196,6 +196,13 @@ def _schedule(
     return reports
 
 
+def _particles(total_n: int) -> int:
+    """A schedule point: each metric there is per particle, so N >= 1."""
+    if total_n < 1:
+        raise ValidationError(f"schedules need N >= 1 particles, got {total_n}")
+    return total_n
+
+
 def check_most_probable_state(
     spec: SystemSpec, beta: float, cap: int = DEFAULT_SIZE_CAP
 ) -> OracleReport:
@@ -252,7 +259,7 @@ def check_einstein_convergence(
             raise SupportViolation("p has mass where the prior has none")
 
     points = []
-    for total_n in n_schedule:
+    for total_n in map(_particles, n_schedule):
         m = round_to_macrostate(total_n, p.entries)
         log_p_exact = math.log(_exact_weight(m.occupations)) + math.fsum(
             x * math.log(q) for x, q in zip(m.occupations, prior.entries) if x
@@ -282,9 +289,9 @@ def check_weight_dominance(
     name = "weight_dominance_ratio"
     if n == 1:
         return [_report(name, f"N={total_n} n=1", "1", 1.0, 0.0, 1.0, 0.0, True)
-                for total_n in n_schedule]
+                for total_n in map(_particles, n_schedule)]
     points = []
-    for total_n in n_schedule:
+    for total_n in map(_particles, n_schedule):
         comps = CompositionSet(total=total_n, parts=n)
         if (
             comps.cardinality <= min(cap, EXACT_MODE_CAP)

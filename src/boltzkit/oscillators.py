@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .core import EnergySpectrum, ProbabilityVector, uniform_prior
 from .errors import NonPositiveBeta, TruncationInsufficient, ValidationError
 
@@ -103,20 +101,19 @@ def mean_energy_series(
     L = model.truncation
     x = math.exp(-beta * model.h_nu)
     y = -math.expm1(-beta * model.h_nu)  # 1 - x, > 0 even where x rounds to 1
-    i = np.arange(1, L + 1, dtype=float)
     # Boltzmann factors shifted by the ground level, so nothing overflows
     # and the leading term is exactly 1 (even when x underflows to 0).
-    u = x ** (i - 1.0)
+    u = [x**j for j in range(L)]
     # Tails below are written over j = i - 1 so no division by x is needed:
     # sum_{i>L} f(i) x^(i-1) = sum_{j>=L} f(j+1) x^j.
     if model.dimensionality is Dimensionality.LINEAR_1D:
-        den = float(np.sum(u))
-        num = float(np.sum((i - 0.5) * u))  # energies in h_nu units
+        den = math.fsum(u)
+        num = math.fsum((j + 0.5) * w for j, w in enumerate(u))  # h_nu units
         tail_z = _tail_g0(x, y, L)
         tail_e = _tail_g1(x, y, L) + 0.5 * _tail_g0(x, y, L)
     else:
-        den = float(np.sum(i * u))
-        num = float(np.sum(i * i * u))
+        den = math.fsum((j + 1) * w for j, w in enumerate(u))
+        num = math.fsum((j + 1) * (j + 1) * w for j, w in enumerate(u))
         tail_z = _tail_g1(x, y, L) + _tail_g0(x, y, L)
         tail_e = _tail_g2(x, y, L) + 2.0 * _tail_g1(x, y, L) + _tail_g0(x, y, L)
     ratio = num / den

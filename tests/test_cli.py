@@ -21,17 +21,19 @@ SPEC_FLAT = '{"levels": [1.0, 1.0], "priors": [0.5, 0.5], "N": 2}'
 
 
 def run_cli(*args):
+    """``python -m boltzkit`` in a child process, through the entry point."""
     return subprocess.run(
         [sys.executable, "-m", "boltzkit", *args],
         capture_output=True,
     )
 
 
-def run_main(*args):
-    """cli.main in process: (exit code, stdout text)."""
+def run_main(*args, stderr=None):
+    """cli.main in process: (exit code, stdout text). Diagnostics go to
+    ``stderr`` when a stream is given, and are dropped otherwise."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(stderr or io.StringIO()):
         code = cli.main(list(args))
     return code, out.getvalue()
 
@@ -72,8 +74,9 @@ class TestDistribution:
         assert [row[3] for row in body] == [row[2] for row in body]
 
     def test_unit_beta_values(self, uniform_spec):
-        proc = run_cli("distribution", "--spec", uniform_spec, "--beta", "1")
-        header, body = parse_csv(proc.stdout)
+        code, out = run_main("distribution", "--spec", uniform_spec, "--beta", "1")
+        assert code == 0
+        header, body = parse_csv(out.encode())
         assert float(body[0][3]) == pytest.approx(0.7310585786300049, abs=1e-11)
         assert float(body[1][3]) == pytest.approx(0.2689414213699951, abs=1e-11)
         assert float(body[0][5]) == pytest.approx(0.2689414213699951, abs=1e-11)
@@ -85,17 +88,21 @@ class TestDistribution:
     def test_non_number_in_spec_exits_2(self, tmp_path, spec):
         path = tmp_path / "bad.json"
         path.write_text(spec)
-        proc = run_cli("distribution", "--spec", str(path), "--beta", "1")
-        assert proc.returncode == 2
-        assert proc.stdout == b""
-        assert b"Traceback" not in proc.stderr
+        err = io.StringIO()
+        code, out = run_main("distribution", "--spec", str(path), "--beta", "1",
+                             stderr=err)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err.getvalue()
 
     def test_malformed_spec_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{broken")
-        proc = run_cli("distribution", "--spec", str(path), "--beta", "1")
-        assert proc.returncode == 2
-        assert b"error" in proc.stderr
+        err = io.StringIO()
+        code, _ = run_main("distribution", "--spec", str(path), "--beta", "1",
+                           stderr=err)
+        assert code == 2
+        assert "error" in err.getvalue()
 
     def test_prior_sum_beyond_float_range_exits_2(self, tmp_path):
         path = tmp_path / "huge.json"
@@ -118,39 +125,41 @@ class TestDistribution:
     def test_unknown_field_exits_2(self, tmp_path):
         path = tmp_path / "extra.json"
         path.write_text('{"levels": [0, 1], "priors": [0.5, 0.5], "N": 2, "x": 1}')
-        proc = run_cli("distribution", "--spec", str(path), "--beta", "1")
-        assert proc.returncode == 2
+        code, _ = run_main("distribution", "--spec", str(path), "--beta", "1")
+        assert code == 2
 
     def test_json_format(self, uniform_spec):
-        proc = run_cli("distribution", "--spec", uniform_spec, "--beta", "1",
-                       "--format", "json")
-        records = [json.loads(line) for line in proc.stdout.splitlines()]
+        code, out = run_main("distribution", "--spec", uniform_spec, "--beta",
+                             "1", "--format", "json")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
         assert len(records) == 2
         assert records[0]["probability"] == pytest.approx(0.73105857863)
 
 
 class TestSweep:
     def test_rows_match_single_point_command(self, uniform_spec):
-        sweep = run_cli("sweep", "--spec", uniform_spec, "--from", "0",
-                        "--to", "1", "--points", "2")
-        assert sweep.returncode == 0
-        header, body = parse_csv(sweep.stdout)
+        code, sweep = run_main("sweep", "--spec", uniform_spec, "--from", "0",
+                               "--to", "1", "--points", "2")
+        assert code == 0
+        header, body = parse_csv(sweep.encode())
         assert header == [
             "beta", "temperature", "log_partition", "mean_energy",
             "gibbs_entropy", "equilibrium_entropy", "kl_to_prior",
         ]
         assert len(body) == 2
         assert body[0][1] == ""  # no temperature at beta = 0
-        dist = run_cli("distribution", "--spec", uniform_spec, "--beta", "1")
-        _, dist_body = parse_csv(dist.stdout)
+        _, dist = run_main("distribution", "--spec", uniform_spec, "--beta", "1")
+        _, dist_body = parse_csv(dist.encode())
         assert body[1][2] == dist_body[0][4]  # log_partition agrees
         assert body[1][3] == dist_body[0][5]  # mean_energy agrees
         assert body[1][4] == dist_body[0][6]  # gibbs_entropy agrees
 
     def test_log_spacing_from_zero_exits_2(self, uniform_spec):
-        proc = run_cli("sweep", "--spec", uniform_spec, "--from", "0",
-                       "--to", "1", "--points", "3", "--spacing", "log")
-        assert proc.returncode == 2
+        code, out = run_main("sweep", "--spec", uniform_spec, "--from", "0",
+                             "--to", "1", "--points", "3", "--spacing", "log")
+        assert code == 2
+        assert out == ""
 
     @pytest.mark.parametrize("grid, betas", [
         (["--from=-1e308", "--to=1e308"], [-1e308, 0.0, 1e308]),
@@ -180,13 +189,31 @@ class TestSweep:
     @pytest.mark.parametrize("start, stop, points", [
         (0.0, 4.0, 41), (-2.0, 2.0, 17), (-1e308, 7e307, 5),
         (1e-300, 1.7976931348623157e308, 9),
+        (0.0, 4.0, 200), (-0.0, 0.1, 7), (0.3, 0.7, 1000),
+        # the step underflows to 0: (i/div)*delta + start
+        (0.0, 5e-324, 1001), (-1e-322, 1e-322, 1001), (0.0, 1e-320, 301),
     ])
     def test_finite_width_grid_is_linspace(self, start, stop, points):
         args = cli.build_parser().parse_args([
             "sweep", "--spec", "unused.json", f"--from={start!r}",
             f"--to={stop!r}", "--points", str(points),
         ])
-        assert cli._grid(args) == [float(v) for v in np.linspace(start, stop, points)]
+        want = [float(v) for v in np.linspace(start, stop, points)]
+        assert list(map(repr, cli._grid(args))) == list(map(repr, want))
+
+    def test_linear_grid_is_linspace_on_random_ranges(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            start, stop = sorted(
+                float(v) * 10.0 ** int(e) for v, e in
+                zip(rng.uniform(-1, 1, 2), rng.choice([-322, -310, -3, 0, 5, 300], 2))
+            )
+            points = int(rng.integers(2, 400))
+            if start == stop:
+                continue
+            want = [float(v) for v in np.linspace(start, stop, points)]
+            got = cli._linspace(start, stop, points)
+            assert list(map(repr, got)) == list(map(repr, want)), (start, stop)
 
     def test_temperature_sweep(self, uniform_spec):
         proc = run_cli("sweep", "--spec", uniform_spec, "--variable",
@@ -200,7 +227,7 @@ class TestSweep:
     def test_byte_identical_reruns(self, uniform_spec):
         args = ("sweep", "--spec", uniform_spec, "--from", "-2", "--to", "2",
                 "--points", "17")
-        assert run_cli(*args).stdout == run_cli(*args).stdout
+        assert run_main(*args) == run_main(*args)
 
     def test_truncated_oscillator_spec_tracks_closed_form(self, tmp_path):
         """A 200-level planar-oscillator system written as a spec file must
@@ -216,10 +243,10 @@ class TestSweep:
             "priors": list(prior.entries),
             "N": 1,
         }))
-        proc = run_cli("sweep", "--spec", str(path), "--from", "0.5",
-                       "--to", "2", "--points", "4")
-        assert proc.returncode == 0
-        header, body = parse_csv(proc.stdout)
+        code, out = run_main("sweep", "--spec", str(path), "--from", "0.5",
+                             "--to", "2", "--points", "4")
+        assert code == 0
+        header, body = parse_csv(out.encode())
         col = header.index("mean_energy")
         for row in body:
             closed = mean_energy_closed(model, float(row[0]))
@@ -228,10 +255,10 @@ class TestSweep:
 
 class TestSolve:
     def test_symmetric_target(self, uniform_spec):
-        proc = run_cli("solve", "--spec", uniform_spec,
-                       "--target-energy", "0.5")
-        assert proc.returncode == 0
-        header, body = parse_csv(proc.stdout)
+        code, out = run_main("solve", "--spec", uniform_spec,
+                             "--target-energy", "0.5")
+        assert code == 0
+        header, body = parse_csv(out.encode())
         beta = float(body[0][header.index("beta")])
         assert abs(beta) <= 1e-10
 
@@ -254,22 +281,24 @@ class TestSolve:
         assert achieved == pytest.approx(0.268941, abs=1e-9)
 
     def test_out_of_range_exits_4(self, uniform_spec):
-        proc = run_cli("solve", "--spec", uniform_spec,
-                       "--target-energy", "1.5")
-        assert proc.returncode == 4
+        code, out = run_main("solve", "--spec", uniform_spec,
+                             "--target-energy", "1.5")
+        assert code == 4
+        assert out == ""
 
     def test_degenerate_support_exits_4(self, tmp_path):
         path = tmp_path / "flat.json"
         path.write_text(SPEC_FLAT)
-        proc = run_cli("solve", "--spec", str(path), "--target-energy", "1.2")
-        assert proc.returncode == 4
+        code, out = run_main("solve", "--spec", str(path), "--target-energy", "1.2")
+        assert code == 4
+        assert out == ""
 
 
 class TestVerify:
     def test_quick_scale_passes(self):
-        proc = run_cli("verify", "--scale", "quick")
-        assert proc.returncode == 0
-        lines = proc.stdout.decode().splitlines()
+        code, out = run_main("verify", "--scale", "quick")
+        assert code == 0
+        lines = out.splitlines()
         assert all(l.startswith("PASS") for l in lines[:-1])
         assert lines[-1].startswith("# oracle checks passed:")
 
@@ -293,10 +322,10 @@ class TestOscillator:
 
         beta = repr(math.log(2))
         for dim, expected in (("1d", 1.5), ("2d", 3.0)):
-            proc = run_cli("oscillator", "--dim", dim, "--from", beta,
-                           "--to", "1", "--points", "2")
-            assert proc.returncode == 0
-            header, body = parse_csv(proc.stdout)
+            code, out = run_main("oscillator", "--dim", dim, "--from", beta,
+                                 "--to", "1", "--points", "2")
+            assert code == 0
+            header, body = parse_csv(out.encode())
             assert header == [
                 "beta", "closed_form_energy", "series_energy",
                 "tail_bound", "difference", "exceeds_bound",
@@ -346,9 +375,10 @@ class TestOscillator:
             )
 
     def test_zero_beta_in_range_exits_2(self):
-        proc = run_cli("oscillator", "--dim", "1d", "--from", "0",
-                       "--to", "1", "--points", "2")
-        assert proc.returncode == 2
+        code, out = run_main("oscillator", "--dim", "1d", "--from", "0",
+                             "--to", "1", "--points", "2")
+        assert code == 2
+        assert out == ""
 
     def test_series_column_tracks_closed_form(self):
         proc = run_cli("oscillator", "--dim", "2d", "--levels", "400",

@@ -28,7 +28,7 @@ from boltzkit.combinatorics import (
     macrostate_probability_exact,
 )
 from boltzkit.equilibrium import generalized_distribution
-from boltzkit.errors import SizeGuardExceeded, SupportViolation
+from boltzkit.errors import SizeGuardExceeded, SupportViolation, ValidationError
 from boltzkit.oracle import _exact_report, format_fraction
 
 
@@ -284,6 +284,14 @@ class TestEinsteinConvergence:
         assert [r.passed for r in reports] == [True, False]
         assert reports[1].rel_error == reports[1].abs_error == 0.0
 
+    @pytest.mark.parametrize("schedule", [(0, 5), (5, 0), (-1, 5)])
+    def test_schedule_without_particles_is_a_validation_error(self, schedule):
+        # the gap is per particle: N = 0 used to divide by zero
+        with pytest.raises(ValidationError):
+            check_einstein_convergence(
+                ProbabilityVector([0.6, 0.4]), uniform_prior(2), schedule
+            )
+
     def test_support_violation(self):
         with pytest.raises(SupportViolation):
             check_einstein_convergence(
@@ -313,6 +321,13 @@ class TestWeightDominance:
         assert first.approx_value == 0.0 and first.passed
         assert second.passed and second.tolerance == 0.0
         assert second.rel_error == second.abs_error == -second.approx_value
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("schedule", [(0, 5), (5, 0), (-1, 5)])
+    def test_schedule_without_particles_is_a_validation_error(self, n, schedule):
+        # the ratio divides by N ln n: N = 0 used to divide by zero
+        with pytest.raises(ValidationError):
+            check_weight_dominance(n, schedule)
 
     def test_degenerate_single_level(self):
         reports = check_weight_dominance(1, (5, 50))

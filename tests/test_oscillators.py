@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from boltzkit import (
@@ -14,9 +15,32 @@ from boltzkit import (
     oscillator_as_system,
 )
 from boltzkit.errors import NonPositiveBeta, TruncationInsufficient, ValidationError
+from boltzkit.oscillators import _tail_g0, _tail_g1, _tail_g2
 
 LIN = Dimensionality.LINEAR_1D
 PLA = Dimensionality.PLANAR_2D
+
+
+def numpy_series(model, beta):
+    """The array form mean_energy_series had before it summed in plain
+    Python with math.fsum, kept as the reference: (energy, tail bound)."""
+    L = model.truncation
+    x = math.exp(-beta * model.h_nu)
+    y = -math.expm1(-beta * model.h_nu)
+    i = np.arange(1, L + 1, dtype=float)
+    u = x ** (i - 1.0)
+    if model.dimensionality is LIN:
+        den = float(np.sum(u))
+        num = float(np.sum((i - 0.5) * u))
+        tail_z = _tail_g0(x, y, L)
+        tail_e = _tail_g1(x, y, L) + 0.5 * _tail_g0(x, y, L)
+    else:
+        den = float(np.sum(i * u))
+        num = float(np.sum(i * i * u))
+        tail_z = _tail_g1(x, y, L) + _tail_g0(x, y, L)
+        tail_e = _tail_g2(x, y, L) + 2.0 * _tail_g1(x, y, L) + _tail_g0(x, y, L)
+    ratio = num / den
+    return model.h_nu * ratio, model.h_nu * (tail_e + tail_z * ratio) / den
 
 
 class TestClosedForm:
@@ -128,6 +152,24 @@ class TestSeries:
         model = OscillatorModel(1.0, dim, 256)
         value, bound = mean_energy_series(model, beta)
         assert math.isfinite(value) and bound == math.inf
+
+    @pytest.mark.parametrize("dim", [LIN, PLA])
+    @pytest.mark.parametrize("h_nu", [0.5, 1.0, 2.0])
+    def test_matches_numpy_reference(self, dim, h_nu):
+        # the terms differ from numpy's power by an ulp at most, and the
+        # sums are exactly rounded where numpy's are pairwise
+        for levels in (1, 2, 400, 10_000):
+            model = OscillatorModel(h_nu, dim, levels)
+            for beta in np.geomspace(0.01, 40.0, 25).tolist():
+                series, bound = mean_energy_series(model, beta)
+                want_series, want_bound = numpy_series(model, beta)
+                assert series == pytest.approx(want_series, rel=1e-15, abs=0)
+                assert bound == pytest.approx(want_bound, rel=1e-15, abs=0)
+                closed = mean_energy_closed(model, beta)
+                # the CLI's exceeds_bound column
+                assert (abs(series - closed) > bound + 1e-12) == (
+                    abs(want_series - closed) > want_bound + 1e-12
+                )
 
     def test_deep_quantum_regime_stays_finite(self):
         value, bound = mean_energy_series(OscillatorModel(1.0, PLA, 64), 800.0)
