@@ -114,14 +114,14 @@ def _temperature(beta: float, k: float) -> float | None:
     return None if beta == 0.0 else 1.0 / (k * beta)
 
 
-def _entropy_head(spec: SystemSpec) -> float:
+def _entropy_head(spec: SystemSpec, log_prior) -> float:
     """The beta-free term of the closed equilibrium-entropy form: ln n + ln n
     at a uniform prior (ln Z = ln Z_w + ln n there), H(prior) otherwise."""
     from .equilibrium import _prior_entropy
     n = spec.spectrum.count
     if max(abs(q - 1.0 / n) for q in spec.prior.entries) <= 1e-12:
         return 2.0 * math.log(n)
-    return _prior_entropy(spec.prior)
+    return _prior_entropy(spec.prior, log_prior)
 
 
 def cmd_distribution(args, out) -> int:
@@ -137,7 +137,7 @@ def cmd_distribution(args, out) -> int:
 
 def cmd_sweep(args, out) -> int:
     from .entropy import kl_divergence
-    from .equilibrium import generalized_distribution
+    from .equilibrium import _family_arrays, _summaries
     spec = load_spec(args.spec)
     grid = _grid(args)
     temperature = args.variable == "temperature"
@@ -147,17 +147,16 @@ def cmd_sweep(args, out) -> int:
         "beta", "temperature", "log_partition", "mean_energy",
         "gibbs_entropy", "equilibrium_entropy", "kl_to_prior",
     ]
-    head = _entropy_head(spec)
+    arrays = _family_arrays(spec.spectrum, spec.prior)
+    head = _entropy_head(spec, arrays[1])
     k_n = spec.boltzmann_k * spec.particles
     rows = []
     for g in grid:
         beta = 1.0 / (spec.boltzmann_k * g) if temperature else g
-        sol = generalized_distribution(spec.spectrum, spec.prior, beta)
-        gibbs = k_n * sol.entropy_per_particle
-        s_equil = k_n * (head + beta * sol.mean_energy + sol.log_partition)
-        kl = kl_divergence(sol.distribution, spec.prior)
-        rows.append([beta, _temperature(beta, spec.boltzmann_k),
-                     sol.log_partition, sol.mean_energy, gibbs, s_equil, kl])
+        p, log_z, mean, entropy = _summaries(*arrays, beta)
+        s_equil = k_n * (head + beta * mean + log_z)
+        rows.append([beta, _temperature(beta, spec.boltzmann_k), log_z, mean,
+                     k_n * entropy, s_equil, kl_divergence(p, spec.prior)])
     _emit_rows(args.format, header, rows, out)
     return EXIT_OK
 

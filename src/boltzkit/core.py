@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 from .errors import (
@@ -44,14 +45,45 @@ def _total(values: tuple[float, ...]) -> float:
         return math.inf
 
 
+def _check_probabilities(values, known_nonnegative=False, tol=PROB_SUM_TOL) -> float:
+    """The sum of the entries, after ProbabilityVector's checks. A caller that
+    has seen every entry >= 0 (an array test) skips the per-entry one."""
+    if len(values) == 0:
+        raise ZeroLevels("probability vector needs at least one entry")
+    if not known_nonnegative:
+        for x in values:
+            if not (x >= 0.0):  # catches negatives and NaN
+                raise NegativePrior(f"probability entry {x!r} is not >= 0")
+    total = _total(values)
+    if abs(total - 1.0) > tol:
+        raise PriorSumMismatch(f"probabilities sum to {total!r}, not 1 within {tol}")
+    return total
+
+
+class _Floats:
+    """Base of a value type over the tuple of floats named by ``_FIELD``: its
+    read-only float64 copy, built on first use (numpy loads then), not pickled."""
+
+    @cached_property
+    def _array(self):
+        import numpy as np
+        array = np.array(getattr(self, self._FIELD), dtype=float)
+        array.flags.writeable = False
+        return array
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_array"}
+
+
 @dataclass(frozen=True)
-class EnergySpectrum:
+class EnergySpectrum(_Floats):
     """Ordered energy levels E_1..E_n, in arbitrary (consistent) energy units.
 
     Levels need not be sorted or distinct; degenerate spectra are legal.
     """
 
     levels: tuple[float, ...]
+    _FIELD = "levels"
 
     def __init__(self, levels: Iterable[float]):
         values = _reals(levels, "energy levels")
@@ -68,7 +100,7 @@ class EnergySpectrum:
 
 
 @dataclass(frozen=True)
-class ProbabilityVector:
+class ProbabilityVector(_Floats):
     """Nonnegative entries summing to 1 within ``PROB_SUM_TOL``.
 
     Entries of exactly 0 are allowed; operations that divide by an entry
@@ -76,20 +108,24 @@ class ProbabilityVector:
     """
 
     entries: tuple[float, ...]
+    _FIELD = "entries"
 
     def __init__(self, entries: Iterable[float]):
         values = _reals(entries, "probability entries")
-        if len(values) == 0:
-            raise ZeroLevels("probability vector needs at least one entry")
-        for x in values:
-            if not (x >= 0.0):  # catches negatives and NaN
-                raise NegativePrior(f"probability entry {x!r} is not >= 0")
-        total = _total(values)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise PriorSumMismatch(
-                f"probabilities sum to {total!r}, not 1 within {PROB_SUM_TOL}"
-            )
+        _check_probabilities(values)
         object.__setattr__(self, "entries", values)
+
+    @classmethod
+    def _adopt(cls, array) -> ProbabilityVector:
+        """A vector over a float64 array that it keeps, made read-only: the
+        constructor's checks as array operations, for kernel-built arrays."""
+        values = tuple(array.tolist())
+        _check_probabilities(values, bool((array >= 0.0).all()))
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "entries", values)
+        array.flags.writeable = False
+        vector.__dict__["_array"] = array
+        return vector
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -189,15 +225,7 @@ def validate_spec(raw: Mapping[str, Any] | SystemSpec) -> SystemSpec:
         raise LengthMismatch(f"{len(priors)} priors for {spectrum.count} levels")
 
     p = _reals(priors, "priors")
-    for x in p:
-        if not (x >= 0.0):
-            raise NegativePrior(f"prior entry {x!r} is not >= 0")
-    total = _total(p)
-    if abs(total - 1.0) > PRIOR_RENORM_TOL:
-        raise PriorSumMismatch(
-            f"priors sum to {total!r}; beyond renormalization tolerance "
-            f"{PRIOR_RENORM_TOL}"
-        )
+    total = _check_probabilities(p, tol=PRIOR_RENORM_TOL)
     prior = ProbabilityVector(x / total for x in p)
 
     n_raw = raw["N"]

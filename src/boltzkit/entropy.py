@@ -77,20 +77,21 @@ def kl_divergence(
     p: ProbabilityVector | Sequence[float], p0: ProbabilityVector | Sequence[float]
 ) -> float:
     """Unsigned divergence D(p || p0) = sum(p_i ln(p_i/p0_i)) >= 0."""
-    pe = p.entries if isinstance(p, ProbabilityVector) else tuple(p)
-    qe = p0.entries if isinstance(p0, ProbabilityVector) else tuple(p0)
-    if len(pe) != len(qe):
-        raise ValidationError(f"length mismatch {len(pe)} vs {len(qe)}")
-    terms = []
-    for a, b in zip(pe, qe):
-        if a == 0.0:
-            continue
-        if b <= 0.0:
-            raise SupportViolation(
-                f"mass {a!r} where the reference distribution has {b!r}"
-            )
-        terms.append(a * math.log(a / b))
-    return math.fsum(terms)
+    import numpy as np
+    a, b = (x._array if isinstance(x, ProbabilityVector) else
+            np.asarray(x, dtype=float) for x in (p, p0))
+    if len(a) != len(b):
+        raise ValidationError(f"length mismatch {len(a)} vs {len(b)}")
+    if (a < 0.0).any():
+        raise ValidationError(f"mass {float(a[a < 0.0][0])!r} is negative")
+    mass = a != 0.0
+    outside = mass & (b <= 0.0)
+    if outside.any():
+        i = int(outside.argmax())
+        raise SupportViolation(f"mass {float(a[i])!r} where the reference "
+                               f"distribution has {float(b[i])!r}")
+    a, b = a[mass], b[mass]
+    return math.fsum((a * np.log(a / b)).tolist())
 
 
 def kl_cross_entropy(

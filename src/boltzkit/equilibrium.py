@@ -53,13 +53,13 @@ def _family_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Energies and ln prior (-inf where a prior is 0); no prior means the
     plain distribution, whose log-prior is 0 on every level."""
-    energies = np.asarray(spectrum.levels, dtype=float)
+    energies = spectrum._array
     if prior is None:
         return energies, np.zeros_like(energies)
     if len(prior) != spectrum.count:
         raise LengthMismatch(f"{len(prior)} priors for {spectrum.count} levels")
     with np.errstate(divide="ignore"):
-        return energies, np.log(np.asarray(prior.entries, dtype=float))
+        return energies, np.log(prior._array)
 
 
 def _exponential_family(
@@ -91,17 +91,15 @@ def _exponential_family(
     return p, log_partition, float(np.dot(p, energies))
 
 
+def _summaries(energies: np.ndarray, log_prior: np.ndarray, beta: float):
+    """The kernel's p, ln Z_w and <E>, and -sum(p ln p) with 0 ln 0 = 0."""
+    p, log_z, mean = _exponential_family(energies, log_prior, beta)
+    return p, log_z, mean, float(-np.sum(p * np.log(np.where(p > 0.0, p, 1.0))))
+
+
 def _solution(spectrum, prior, beta: float) -> EquilibriumSolution:
-    p, log_z, mean = _exponential_family(*_family_arrays(spectrum, prior), beta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return EquilibriumSolution(
-        beta=beta,
-        log_partition=log_z,
-        distribution=ProbabilityVector(p),
-        mean_energy=mean,
-        entropy_per_particle=float(-np.sum(plogp)),
-    )
+    p, log_z, mean, entropy = _summaries(*_family_arrays(spectrum, prior), beta)
+    return EquilibriumSolution(beta, log_z, ProbabilityVector._adopt(p), mean, entropy)
 
 
 def boltzmann_distribution(
@@ -181,17 +179,20 @@ def solve_beta(
             f"range ({e_min}, {e_max})"
         )
     u, rest = (levels - e_min) / span, (e_max - levels) / span  # rest = 1 - u
+    rise, fall = float(u[u > 0.0].min()), float(rest[rest > 0.0].min())  # gaps
 
     t, lo, hi, step = 0.0, -math.inf, math.inf, math.inf
     for _ in range(_MAX_STEPS):  # the root stays between lo and hi
         p, _, mean = _exponential_family(u, log_prior, t)
         # Newton on the log-odds of <u>, whose slope is -Var(u)/(<u> <1-u>):
-        # exact for two levels and in both saturated tails
+        # exact for two levels and in both saturated tails; where Var(u)
+        # underflows, minus the anchor level's gap to its nearest neighbour
         mean_rest = float(np.dot(p, rest))
         variance = float(np.dot(p, (u - mean) ** 2))
         with np.errstate(divide="ignore", invalid="ignore"):
             odds = np.log(mean) - np.log(mean_rest) - goal_odds
-            newton = odds * mean * mean_rest / variance if variance else math.nan
+            newton = (odds * mean * mean_rest / variance if variance
+                      else odds / (rise if t >= 0.0 else fall))
         if odds > 0.0:
             lo = t
         elif odds < 0.0:
@@ -223,12 +224,11 @@ def solve_beta(
     return generalized_distribution(spectrum, prior, t / span)
 
 
-def _prior_entropy(prior: ProbabilityVector) -> float:
+def _prior_entropy(prior: ProbabilityVector, log_prior: np.ndarray) -> float:
     """H(prior) = -sum(p0 ln p0), the unequal-priors form's beta-free term."""
-    for q in prior.entries:
-        if q <= 0.0:
-            raise ZeroPriorEntry("formula requires strictly positive priors")
-    return -math.fsum(q * math.log(q) for q in prior.entries)
+    if not (prior._array > 0.0).all():
+        raise ZeroPriorEntry("formula requires strictly positive priors")
+    return -math.fsum((prior._array * log_prior).tolist())
 
 
 def equilibrium_entropy_uniform(
@@ -265,8 +265,9 @@ def equilibrium_entropy_prior(
     """
     if N < 1:
         raise ValidationError(f"need N >= 1, got {N}")
-    prior_entropy = _prior_entropy(prior)
-    _, log_z, mean = _exponential_family(*_family_arrays(spectrum, prior), beta)
+    energies, log_prior = _family_arrays(spectrum, prior)
+    prior_entropy = _prior_entropy(prior, log_prior)
+    _, log_z, mean = _exponential_family(energies, log_prior, beta)
     return k * N * (prior_entropy + beta * mean + log_z)
 
 

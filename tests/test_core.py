@@ -1,7 +1,13 @@
 """Domain-type validation and the spec-file contract."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -92,6 +98,120 @@ class TestProbabilityVector:
         p = ProbabilityVector(x / total for x in raw)
         assert abs(math.fsum(p.entries) - 1.0) <= 1e-12
         assert min(p.entries) >= 0.0
+
+
+#: The public constructor's rejections, each with the error it raises.
+REJECTED_ENTRIES = [
+    ([1.1, -0.1], NegativePrior),
+    ([math.nan, 1.0], NegativePrior),
+    ([0.5, -math.inf, 0.5], NegativePrior),
+    ([0.5, 0.5 + 2e-12], PriorSumMismatch),
+    ([1e308, 1e308], PriorSumMismatch),
+    ([0.25, 0.25], PriorSumMismatch),
+    ([], ZeroLevels),
+]
+
+
+class TestKernelBuiltVector:
+    """``ProbabilityVector._adopt``: the constructor's checks as array
+    operations, for arrays that boltzkit's kernel built."""
+
+    @pytest.mark.parametrize("entries, error", REJECTED_ENTRIES,
+                             ids=[str(e) for e, _ in REJECTED_ENTRIES])
+    def test_rejects_what_the_constructor_rejects(self, entries, error):
+        with pytest.raises(error) as public:
+            ProbabilityVector(entries)
+        with pytest.raises(error) as internal:
+            ProbabilityVector._adopt(np.array(entries, dtype=float))
+        assert str(internal.value) == str(public.value)
+
+    def test_accepts_sum_within_tolerance(self):
+        entries = [0.5, 0.5 + 5e-13]
+        v = ProbabilityVector._adopt(np.array(entries))
+        assert v == ProbabilityVector(entries)
+
+    def test_keeps_the_array_read_only(self):
+        array = np.array([0.125, 0.0, 0.875])
+        v = ProbabilityVector._adopt(array)
+        assert v._array is array
+        assert not array.flags.writeable
+        assert v.entries == (0.125, 0.0, 0.875)
+        assert all(type(x) is float for x in v.entries)
+        assert v == ProbabilityVector([0.125, 0.0, 0.875])
+        assert hash(v) == hash(ProbabilityVector([0.125, 0.0, 0.875]))
+
+
+def _values(x):
+    return x.levels if isinstance(x, EnergySpectrum) else x.entries
+
+
+VALUE_TYPES = [
+    pytest.param(lambda: EnergySpectrum([2.0, -1.0, 0.5]), id="spectrum"),
+    pytest.param(lambda: ProbabilityVector([0.25, 0.0, 0.75]), id="vector"),
+]
+
+
+class TestFloatArrays:
+    """The read-only float64 array behind a spectrum and a vector."""
+
+    @pytest.mark.parametrize("make", VALUE_TYPES)
+    def test_built_once_as_float64(self, make):
+        x = make()
+        assert x._array is x._array
+        assert x._array.dtype == np.float64
+        assert x._array.tolist() == list(_values(x))
+
+    @pytest.mark.parametrize("make", VALUE_TYPES)
+    def test_is_read_only(self, make):
+        x = make()
+        with pytest.raises(ValueError):
+            x._array[0] = 1.0
+        with pytest.raises(ValueError):
+            x._array += 1.0
+        assert x._array.tolist() == list(_values(x))
+
+    @pytest.mark.parametrize("make", VALUE_TYPES)
+    def test_equality_hash_repr_and_pickle_ignore_it(self, make):
+        read, unread = make(), make()
+        read._array
+        assert read == unread
+        assert hash(read) == hash(unread)
+        assert repr(read) == repr(unread)
+        assert pickle.dumps(read) == pickle.dumps(unread)
+        back = pickle.loads(pickle.dumps(read))
+        assert back == read
+        assert "_array" not in vars(back)
+        assert not back._array.flags.writeable
+        assert back._array.tolist() == read._array.tolist()
+
+    def test_caller_array_is_copied(self):
+        raw = np.array([0.25, 0.75])
+        before = ProbabilityVector(raw)
+        before._array
+        after = ProbabilityVector(raw)
+        raw[:] = [0.75, 0.25]
+        for v in (before, after):
+            assert v.entries == (0.25, 0.75)
+            assert v._array.tolist() == [0.25, 0.75]
+            assert v._array is not raw
+
+    def test_core_imports_numpy_only_on_first_read(self):
+        src = str(Path(sys.modules["boltzkit.core"].__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        script = "; ".join([
+            "import sys, boltzkit.core as core",
+            "s = core.EnergySpectrum([0, 1]); p = core.ProbabilityVector([1, 0])",
+            "core.validate_spec({'levels': [0, 1], 'priors': [0.5, 0.5], 'N': 2})",
+            "print('numpy' in sys.modules)",
+            "p._array",
+            "print('numpy' in sys.modules)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().split() == ["False", "True"]
 
 
 class TestMacrostate:

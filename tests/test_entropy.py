@@ -28,6 +28,7 @@ from boltzkit.errors import (
     KMismatch,
     MeanSumMismatch,
     SupportViolation,
+    ValidationError,
 )
 from boltzkit.oracle import round_to_macrostate
 
@@ -145,6 +146,89 @@ class TestKullbackLeibler:
         q = rng.dirichlet(np.ones(n))
         d = kl_divergence(p / p.sum(), q / q.sum())
         assert d >= -1e-15
+
+
+def kl_loop(pe, qe):
+    """The per-element loop that kl_divergence ran before it became an
+    array pass: the reference for its value and its support rule."""
+    terms = []
+    for a, b in zip(pe, qe):
+        if a == 0.0:
+            continue
+        if b <= 0.0:
+            raise SupportViolation(
+                f"mass {a!r} where the reference distribution has {b!r}"
+            )
+        terms.append(a * math.log(a / b))
+    return math.fsum(terms)
+
+
+def kl_inputs(count, seed=20261018):
+    """Seeded (p, q) pairs of 1-2,000 levels, p with zeros, q positive."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 2001))
+        p = rng.dirichlet(np.full(n, rng.uniform(0.2, 5.0)))
+        p[rng.uniform(size=n) < 0.3] = 0.0
+        if not p.any():
+            p[0] = 1.0
+        q = 0.9 * rng.dirichlet(np.full(n, rng.uniform(0.2, 5.0))) + 0.1 / n
+        yield (ProbabilityVector((p / p.sum()).tolist()),
+               ProbabilityVector((q / q.sum()).tolist()))
+
+
+class TestKullbackLeiblerArrayPass:
+    def test_matches_the_per_element_loop(self):
+        ulp = 2.0 ** -52
+        for p, q in kl_inputs(300):
+            want = kl_loop(p.entries, q.entries)
+            got = kl_divergence(p, q)
+            assert abs(got - want) <= 4 * ulp * abs(want), (len(p), got, want)
+
+    def test_plain_sequences_and_arrays(self):
+        for p, q in kl_inputs(10, seed=3):
+            want = kl_divergence(p, q)
+            assert kl_divergence(list(p.entries), list(q.entries)) == want
+            assert kl_divergence(p.entries, q) == want
+            assert kl_divergence(np.array(p.entries), q.entries) == want
+        assert kl_divergence([0.5, 0.5], [0.25, 0.75]) == pytest.approx(
+            0.14384103622589042)
+        assert kl_divergence([1, 0], (0.5, 0.5)) == math.log(2)
+
+    @pytest.mark.parametrize("p, q", [
+        ([0.5, 0.5], [1.0, 0.0]),
+        ([0.0, 0.25, 0.75], [0.5, 0.5, 0.0]),
+        ([0.2, 0.3, 0.5], [0.0, 0.0, 1.0]),
+        ([0.5, 0.5], [1.5, -0.5]),
+    ])
+    def test_support_violation_as_in_the_loop(self, p, q):
+        with pytest.raises(SupportViolation) as want:
+            kl_loop(p, q)
+        with pytest.raises(SupportViolation) as got:
+            kl_divergence(p, q)
+        assert str(got.value) == str(want.value)
+
+    def test_negative_mass_is_a_validation_error(self):
+        # the loop stopped at math.log of a negative ratio
+        for p, q in [([-0.5, 1.5], [0.5, 0.5]), ([1.5, -0.5], [0.0, 1.0])]:
+            with pytest.raises(ValueError):
+                kl_loop(p, q)
+            with pytest.raises(ValidationError, match="negative"):
+                kl_divergence(p, q)
+
+    def test_zero_mass_needs_no_support(self):
+        assert kl_divergence([1.0, 0.0], [1.0, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("p, q", [
+        ([0.5, 0.5], [1.0]),
+        ([1.0], [0.5, 0.5]),
+        ([], [1.0]),
+    ])
+    def test_length_mismatch(self, p, q):
+        with pytest.raises(ValidationError, match="length mismatch"):
+            kl_divergence(p, q)
+        with pytest.raises(ValidationError, match="length mismatch"):
+            kl_divergence(np.array(p), tuple(q))
 
 
 class TestOccupationCrossEntropy:

@@ -110,11 +110,12 @@ def spec(tmp_path):
 class TestLazyNamespace:
     def test_import_loads_no_numpy(self):
         # submodules stay reachable as attributes; only equilibrium's
-        # kernel needs numpy
+        # kernel needs numpy, and entropy imports it inside kl_divergence
         script = "; ".join([
             "import sys, boltzkit",
             "print('numpy' in sys.modules)",
             "boltzkit.core, boltzkit.errors, boltzkit.oscillators",
+            "boltzkit.entropy, boltzkit.combinatorics",
             "print('numpy' in sys.modules)",
             "boltzkit.equilibrium.solve_beta",
             "print('numpy' in sys.modules)",

@@ -16,6 +16,7 @@ from boltzkit import (
     solve_beta,
     uniform_prior,
 )
+from boltzkit.equilibrium import ENERGY_TOL_FACTOR
 from boltzkit.errors import (
     NoVariation,
     TargetOutOfRange,
@@ -397,3 +398,25 @@ class TestSolverRegressions:
                        target)
             assert calls["distribution"] == 1
             assert calls["kernel"] <= 10  # the returned distribution included
+
+    @pytest.mark.parametrize("levels, target", [
+        ([0.0, 1e-300, 1.0], 1e-310),
+        ([0.0, 1e-200, 2e-200, 1.0], 1e-205),
+    ])
+    def test_tail_where_the_variance_underflows(self, monkeypatch, levels, target):
+        # past t ~ 1e3 p sits on the lowest levels and Var(u) underflows to
+        # 0; the root lies near t = 1e301 (1e201), out of reach of doubling
+        from boltzkit import equilibrium
+
+        calls = []
+        kernel = equilibrium._exponential_family
+        monkeypatch.setattr(equilibrium, "_exponential_family",
+                            lambda *args: calls.append(args[2]) or kernel(*args))
+        sol = solve_beta(EnergySpectrum(levels), uniform_prior(len(levels)), target)
+        assert len(calls) <= 20
+        assert abs(sol.mean_energy - target) <= ENERGY_TOL_FACTOR * levels[-1]
+        assert sol.mean_energy == pytest.approx(target, rel=1e-9)
+        if len(levels) == 3:
+            # p_1 / (p_0 + p_1) = 1e-10 = e^(-beta 1e-300) / (1 + e^(-beta 1e-300))
+            assert sol.beta == pytest.approx(-math.log(1e-10 / (1 - 1e-10)) / 1e-300,
+                                             rel=1e-12)
