@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import Macrostate, ProbabilityVector
+from .core import Macrostate, ProbabilityVector, _same_length
 from .errors import SizeGuardExceeded, ValidationError
 
-#: Default cap on eager materialization of a composition set.
+#: The one cap on exact enumeration and eager materialization of a set.
 DEFAULT_SIZE_CAP = 10_000_000
 
 
@@ -101,15 +101,15 @@ class CompositionSet:
         """Raw tuples, skipping Macrostate construction, for hot loops."""
         return _compositions(self.total, self.parts)
 
-    def materialize(self, cap: int = DEFAULT_SIZE_CAP) -> list[Macrostate]:
-        """Eager list of all members; refuses sets larger than ``cap``."""
-        self.require_within_cap(cap)
+    def materialize(self) -> list[Macrostate]:
+        """Eager list of all members; refuses sets above ``DEFAULT_SIZE_CAP``."""
+        self.require_within_cap()
         return list(self)
 
-    def require_within_cap(self, cap: int = DEFAULT_SIZE_CAP) -> None:
-        if self.cardinality > cap:
+    def require_within_cap(self) -> None:
+        if self.cardinality > DEFAULT_SIZE_CAP:
             raise SizeGuardExceeded(
-                f"{self.cardinality} compositions exceed the cap {cap}"
+                f"{self.cardinality} compositions exceed the cap {DEFAULT_SIZE_CAP}"
             )
 
 
@@ -170,10 +170,7 @@ def log_macrostate_probability(
     arity mismatch.
     """
     p = prior.entries if isinstance(prior, ProbabilityVector) else tuple(prior)
-    if len(p) != len(m.occupations):
-        raise ValidationError(
-            f"prior length {len(p)} != macrostate length {len(m.occupations)}"
-        )
+    _same_length(len(p), len(m.occupations), "priors")
     return _log_probability(m.occupations, _log_priors(p))
 
 
@@ -184,18 +181,14 @@ def macrostate_probability(
 
     Zero prior on an occupied level legitimately gives probability 0.
     """
-    log_p = log_macrostate_probability(m, prior)
-    return 0.0 if log_p == -math.inf else math.exp(log_p)
+    return math.exp(log_macrostate_probability(m, prior))
 
 
 def macrostate_probability_exact(
     m: Macrostate, prior: Sequence[Fraction]
 ) -> Fraction:
     """Exact-rational multinomial probability for rational priors."""
-    if len(prior) != len(m.occupations):
-        raise ValidationError(
-            f"prior length {len(prior)} != macrostate length {len(m.occupations)}"
-        )
+    _same_length(len(prior), len(m.occupations), "priors")
     out = Fraction(_exact_weight(m.occupations))
     for count, q in zip(m.occupations, prior):
         if count:
@@ -203,7 +196,7 @@ def macrostate_probability_exact(
     return out
 
 
-def weight_ratio_probability(m: Macrostate, cap: int = DEFAULT_SIZE_CAP) -> float:
+def weight_ratio_probability(m: Macrostate) -> float:
     """W(m) over the summed weights of every macrostate with the same (N, n).
 
     Computed by exact big-integer enumeration (the sum equals n**N, which
@@ -211,6 +204,6 @@ def weight_ratio_probability(m: Macrostate, cap: int = DEFAULT_SIZE_CAP) -> floa
     the multinomial probability at the uniform prior.
     """
     comps = CompositionSet(total=m.total, parts=len(m.occupations))
-    comps.require_within_cap(cap)
+    comps.require_within_cap()
     w_sum = sum(w for _, w in _exact_weights(comps))
     return float(Fraction(_exact_weight(m.occupations), w_sum))

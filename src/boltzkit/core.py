@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Mapping
@@ -58,6 +60,35 @@ def _check_probabilities(values, known_nonnegative=False, tol=PROB_SUM_TOL) -> f
     if abs(total - 1.0) > tol:
         raise PriorSumMismatch(f"probabilities sum to {total!r}, not 1 within {tol}")
     return total
+
+
+def _same_length(size: int, levels: int, what: str) -> None:
+    """One entry per level: the rule behind every pair of per-level inputs."""
+    if size != levels:
+        raise LengthMismatch(f"length mismatch: {size} {what} for {levels} levels")
+
+
+def _count(n) -> int:
+    """A particle count as an int; a bool, a float or a value < 1 is refused."""
+    try:
+        count = None if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        count = None
+    if count is None or count < 1:
+        raise NonPositiveN(f"particle count {n!r} is not a positive integer")
+    return count
+
+
+def _boltzmann_k(k) -> float:
+    """Boltzmann's constant as a float: a finite real > 0, not a bool."""
+    try:
+        real = isinstance(k, numbers.Real) and not isinstance(k, bool)
+        value = float(k) if real else math.nan
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"boltzmann_k {k!r} must be a finite real > 0")
+    return value
 
 
 class _Floats:
@@ -175,7 +206,8 @@ class Macrostate:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Full problem statement: spectrum, per-level priors, particle count, k."""
+    """Full problem statement: spectrum, per-level priors, particle count, k.
+    It checks them, and stores ``particles`` as an int, ``boltzmann_k`` as a float."""
 
     spectrum: EnergySpectrum
     prior: ProbabilityVector
@@ -183,16 +215,9 @@ class SystemSpec:
     boltzmann_k: float = 1.0
 
     def __post_init__(self):
-        if len(self.prior) != self.spectrum.count:
-            raise LengthMismatch(
-                f"{len(self.prior)} priors for {self.spectrum.count} levels"
-            )
-        if isinstance(self.particles, bool) or self.particles != int(self.particles):
-            raise NonPositiveN(f"particle count {self.particles!r} is not an integer")
-        if self.particles < 1:
-            raise NonPositiveN(f"particle count {self.particles} < 1")
-        if not (self.boltzmann_k > 0.0 and math.isfinite(self.boltzmann_k)):
-            raise ValidationError(f"boltzmann_k {self.boltzmann_k!r} must be positive")
+        _same_length(len(self.prior), self.spectrum.count, "priors")
+        object.__setattr__(self, "particles", _count(self.particles))
+        object.__setattr__(self, "boltzmann_k", _boltzmann_k(self.boltzmann_k))
 
 
 _SPEC_FIELDS = {"levels", "priors", "N", "k"}
@@ -205,7 +230,7 @@ def validate_spec(raw: Mapping[str, Any] | SystemSpec) -> SystemSpec:
     validation idempotent) or a mapping with keys ``levels``, ``priors``,
     ``N`` and optionally ``k``. Unknown keys are rejected. Priors are
     renormalized when their sum is within ``PRIOR_RENORM_TOL`` of 1 and
-    rejected otherwise.
+    rejected otherwise; ``SystemSpec`` checks the rest.
     """
     if isinstance(raw, SystemSpec):
         return raw
@@ -221,23 +246,11 @@ def validate_spec(raw: Mapping[str, Any] | SystemSpec) -> SystemSpec:
     if not isinstance(levels, (list, tuple)) or not isinstance(priors, (list, tuple)):
         raise ValidationError("'levels' and 'priors' must be arrays")
     spectrum = EnergySpectrum(levels)
-    if len(priors) != spectrum.count:
-        raise LengthMismatch(f"{len(priors)} priors for {spectrum.count} levels")
-
     p = _reals(priors, "priors")
     total = _check_probabilities(p, tol=PRIOR_RENORM_TOL)
     prior = ProbabilityVector(x / total for x in p)
-
-    n_raw = raw["N"]
-    if isinstance(n_raw, bool) or not isinstance(n_raw, int):
-        raise NonPositiveN(f"N must be an integer, got {n_raw!r}")
-
-    k = raw.get("k", 1.0)
-    if not isinstance(k, (int, float)) or isinstance(k, bool):
-        raise ValidationError(f"k must be a number, got {k!r}")
-
-    return SystemSpec(spectrum=spectrum, prior=prior, particles=n_raw,
-                      boltzmann_k=_reals([k], "k")[0])
+    return SystemSpec(spectrum=spectrum, prior=prior, particles=raw["N"],
+                      boltzmann_k=raw.get("k", 1.0))
 
 
 def load_spec(path: str) -> SystemSpec:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from .combinatorics import _log_weight
-from .core import Macrostate, ProbabilityVector
+from .core import Macrostate, ProbabilityVector, _boltzmann_k, _count, _same_length
 from .errors import (
     ExceedsReference,
     KMismatch,
@@ -34,13 +35,14 @@ class EntropyValue:
     k_used: float
 
 
-def _xlogx(x: float) -> float:
-    return 0.0 if x == 0.0 else x * math.log(x)
+def _x_log(xs: Iterable, tops: Iterable, bottoms: Iterable) -> float:
+    """sum(x ln(top/bottom)) over the x > 0, summed exactly: 0 ln(.) = 0."""
+    return math.fsum(x * math.log(t / b) for x, t, b in zip(xs, tops, bottoms) if x > 0)
 
 
 def shannon_entropy(p: ProbabilityVector, k: float = 1.0) -> EntropyValue:
     """-k * sum(p_i ln p_i): uncertainty of a probability distribution."""
-    return EntropyValue(value=-k * math.fsum(_xlogx(x) for x in p.entries), k_used=k)
+    return EntropyValue(value=-k * _x_log(p.entries, p.entries, repeat(1.0)), k_used=k)
 
 
 def boltzmann_shannon_entropy(m: Macrostate, k: float = 1.0) -> EntropyValue:
@@ -49,9 +51,8 @@ def boltzmann_shannon_entropy(m: Macrostate, k: float = 1.0) -> EntropyValue:
     Defined over integers rather than probabilities, so it is generally
     negative; only entropy differences are meaningful for it.
     """
-    return EntropyValue(
-        value=-k * math.fsum(_xlogx(x) for x in m.occupations), k_used=k
-    )
+    occ = m.occupations
+    return EntropyValue(value=-k * _x_log(occ, occ, repeat(1.0)), k_used=k)
 
 
 def stirling_entropy(m: Macrostate, k: float = 1.0) -> EntropyValue:
@@ -59,13 +60,10 @@ def stirling_entropy(m: Macrostate, k: float = 1.0) -> EntropyValue:
 
     Equals the Shannon entropy of the empirical frequencies scaled by k N.
     """
-    n_total = m.total
-    if n_total < 1:
+    if m.total < 1:
         raise ValidationError("stirling_entropy needs at least one particle")
-    value = -k * math.fsum(
-        x * math.log(x / n_total) for x in m.occupations if x > 0
-    )
-    return EntropyValue(value=value, k_used=k)
+    occ = m.occupations
+    return EntropyValue(value=-k * _x_log(occ, occ, repeat(m.total)), k_used=k)
 
 
 def exact_boltzmann_entropy(m: Macrostate, k: float = 1.0) -> EntropyValue:
@@ -80,8 +78,7 @@ def kl_divergence(
     import numpy as np
     a, b = (x._array if isinstance(x, ProbabilityVector) else
             np.asarray(x, dtype=float) for x in (p, p0))
-    if len(a) != len(b):
-        raise ValidationError(f"length mismatch {len(a)} vs {len(b)}")
+    _same_length(len(a), len(b), "entries")
     if (a < 0.0).any():
         raise ValidationError(f"mass {float(a[a < 0.0][0])!r} is negative")
     mass = a != 0.0
@@ -101,17 +98,12 @@ def kl_cross_entropy(
 
     Nonpositive, and zero exactly when p == p0 on their common support.
     """
-    if N < 1:
-        raise ValidationError(f"need N >= 1, got {N}")
-    return -N * k * kl_divergence(p, p0)
+    return -_count(N) * _boltzmann_k(k) * kl_divergence(p, p0)
 
 
 def _check_mean(m: Macrostate, mean: Sequence[float]) -> tuple[float, ...]:
     mn = tuple(float(x) for x in mean)
-    if len(mn) != len(m.occupations):
-        raise ValidationError(
-            f"mean length {len(mn)} != macrostate length {len(m.occupations)}"
-        )
+    _same_length(len(mn), len(m.occupations), "mean occupations")
     for x in mn:
         if not (x >= 0.0) or not math.isfinite(x):
             raise ValidationError(f"mean occupation {x!r} is not a nonnegative real")
@@ -135,9 +127,7 @@ def occupation_cross_entropy(
     KL divergence of the empirical frequencies from mean/N).
     """
     mn = _check_mean(m, mean)
-    return k * math.fsum(
-        x * math.log(x / mb) for x, mb in zip(m.occupations, mn) if x > 0
-    )
+    return k * _x_log(m.occupations, m.occupations, mn)
 
 
 def negentropy_relation(
@@ -155,15 +145,10 @@ def negentropy_relation(
     statement, exercised by the convergence checks in the oracle module.
     """
     mn = _check_mean(m, mean)
-    lhs = occupation_cross_entropy(m, mn, k)
-    n_total = m.total
-    s_state = -k * math.fsum(
-        x * math.log(x / n_total) for x in m.occupations if x > 0
-    )
-    s_ref = -k * math.fsum(
-        x * math.log(mb / n_total) for x, mb in zip(m.occupations, mn) if x > 0
-    )
-    return lhs, s_ref - s_state
+    occ, n_total = m.occupations, repeat(m.total)
+    s_state = -k * _x_log(occ, occ, n_total)
+    s_ref = -k * _x_log(occ, mn, n_total)
+    return k * _x_log(occ, occ, mn), s_ref - s_state
 
 
 def einstein_probability(s: EntropyValue, s_ref: EntropyValue) -> float:

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EnergySpectrum, ProbabilityVector
+from .core import EnergySpectrum, ProbabilityVector, _boltzmann_k, _count, _same_length
 from .errors import (
     DegeneratePrior,
-    LengthMismatch,
     NoVariation,
     NumericError,
     TargetOutOfRange,
@@ -56,8 +55,7 @@ def _family_arrays(
     energies = spectrum._array
     if prior is None:
         return energies, np.zeros_like(energies)
-    if len(prior) != spectrum.count:
-        raise LengthMismatch(f"{len(prior)} priors for {spectrum.count} levels")
+    _same_length(len(prior), spectrum.count, "priors")
     with np.errstate(divide="ignore"):
         return energies, np.log(prior._array)
 
@@ -183,12 +181,16 @@ def solve_beta(
 
     t, lo, hi, step = 0.0, -math.inf, math.inf, math.inf
     for _ in range(_MAX_STEPS):  # the root stays between lo and hi
-        p, _, mean = _exponential_family(u, log_prior, t)
+        # exp(-t u) is exp(|t| rest) up to a constant: for t < 0 the kernel
+        # runs on rest, whose gaps next to the top level u = 1 - rest rounds away
+        near, far = (u, rest) if t >= 0.0 else (rest, u)
+        p, _, near_mean = _exponential_family(near, log_prior, abs(t))
+        far_mean = float(np.dot(p, far))
+        variance = float(np.dot(p, (near - near_mean) ** 2))  # = Var(u)
+        mean, mean_rest = (near_mean, far_mean) if t >= 0.0 else (far_mean, near_mean)
         # Newton on the log-odds of <u>, whose slope is -Var(u)/(<u> <1-u>):
         # exact for two levels and in both saturated tails; where Var(u)
         # underflows, minus the anchor level's gap to its nearest neighbour
-        mean_rest = float(np.dot(p, rest))
-        variance = float(np.dot(p, (u - mean) ** 2))
         with np.errstate(divide="ignore", invalid="ignore"):
             odds = np.log(mean) - np.log(mean_rest) - goal_odds
             newton = (odds * mean * mean_rest / variance if variance
@@ -241,10 +243,9 @@ def equilibrium_entropy_uniform(
     -k N sum(p ln p) of the same distribution (exposed separately via
     ``EquilibriumSolution.entropy_per_particle``).
     """
-    if N < 1:
-        raise ValidationError(f"need N >= 1, got {N}")
+    k_n = _boltzmann_k(k) * _count(N)
     _, log_z, mean = _exponential_family(*_family_arrays(spectrum, None), beta)
-    return k * N * (math.log(spectrum.count) + beta * mean + log_z)
+    return k_n * (math.log(spectrum.count) + beta * mean + log_z)
 
 
 def equilibrium_entropy_prior(
@@ -263,12 +264,11 @@ def equilibrium_entropy_prior(
     partition sum is Z/n there); the inequality between the two forms is
     what ``entropy_inequality_check`` reports.
     """
-    if N < 1:
-        raise ValidationError(f"need N >= 1, got {N}")
+    k_n = _boltzmann_k(k) * _count(N)
     energies, log_prior = _family_arrays(spectrum, prior)
     prior_entropy = _prior_entropy(prior, log_prior)
     _, log_z, mean = _exponential_family(energies, log_prior, beta)
-    return k * N * (prior_entropy + beta * mean + log_z)
+    return k_n * (prior_entropy + beta * mean + log_z)
 
 
 def entropy_inequality_check(

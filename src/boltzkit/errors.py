@@ -73,7 +73,7 @@ class NonPositiveBeta(ValidationError):
 
 
 class SizeGuardExceeded(ValidationError):
-    """Requested enumeration is larger than the configured cap."""
+    """Requested enumeration is larger than ``DEFAULT_SIZE_CAP``."""
 
 
 # -- numeric ---------------------------------------------------------------

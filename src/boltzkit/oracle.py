@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinatorics import (
-    DEFAULT_SIZE_CAP,
     CompositionSet,
     _exact_weight,
     _exact_weights,
@@ -29,11 +28,14 @@ from .core import (
     Macrostate,
     ProbabilityVector,
     SystemSpec,
+    _boltzmann_k,
+    _count,
+    _same_length,
     uniform_prior,
 )
 from .entropy import occupation_cross_entropy
 from .equilibrium import generalized_distribution
-from .errors import SupportViolation, ValidationError
+from .errors import SupportViolation
 
 #: Enumeration sizes above these go through log-gamma instead of big
 #: integers (the particle cap keeps factorial division affordable).
@@ -72,12 +74,13 @@ def reports_to_json(reports: Sequence[OracleReport]) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2)
 
 
-def format_fraction(value: Fraction, digits: int = 36) -> str:
-    """Decimal rendering of an exact rational, exact when it terminates."""
+def format_fraction(value: Fraction) -> str:
+    """Decimal rendering of an exact rational to 36 significant digits,
+    exact when it terminates within them."""
     if value.denominator == 1:
         return str(value.numerator)
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 36
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
@@ -98,23 +101,9 @@ def round_to_macrostate(total: int, p: Sequence[float]) -> Macrostate:
     return Macrostate(base)
 
 
-def _exact_prior(
-    spec: SystemSpec, exact_prior: Sequence[Fraction] | None
-) -> list[Fraction]:
-    if exact_prior is not None:
-        fractions = [Fraction(q) for q in exact_prior]
-        if len(fractions) != spec.spectrum.count:
-            raise SupportViolation(
-                f"{len(fractions)} exact priors for {spec.spectrum.count} levels"
-            )
-        return fractions
-    return [Fraction(q) for q in spec.prior.entries]
-
-
 def check_normalization_and_means(
     spec: SystemSpec,
     exact_prior: Sequence[Fraction] | None = None,
-    cap: int = DEFAULT_SIZE_CAP,
 ) -> list[OracleReport]:
     """Exact check that macrostate probabilities sum to 1 and that
     occupation means equal N * prior, by full enumeration.
@@ -129,11 +118,13 @@ def check_normalization_and_means(
     prior exactly; pass ``exact_prior`` when the intended rational (say
     1/3) is not float-representable.
     """
-    prior = _exact_prior(spec, exact_prior)
+    given = spec.prior.entries if exact_prior is None else exact_prior
+    prior = [Fraction(q) for q in given]
+    _same_length(len(prior), spec.spectrum.count, "exact priors")
     n_levels = spec.spectrum.count
     total_n = spec.particles
     comps = CompositionSet(total=total_n, parts=n_levels)
-    comps.require_within_cap(cap)
+    comps.require_within_cap()
 
     denominator = math.lcm(*(q.denominator for q in prior))
     powers = [
@@ -196,16 +187,7 @@ def _schedule(
     return reports
 
 
-def _particles(total_n: int) -> int:
-    """A schedule point: each metric there is per particle, so N >= 1."""
-    if total_n < 1:
-        raise ValidationError(f"schedules need N >= 1 particles, got {total_n}")
-    return total_n
-
-
-def check_most_probable_state(
-    spec: SystemSpec, beta: float, cap: int = DEFAULT_SIZE_CAP
-) -> OracleReport:
+def check_most_probable_state(spec: SystemSpec, beta: float) -> OracleReport:
     """Exhaustive argmax of the macrostate probability vs the continuous
     equilibrium distribution.
 
@@ -219,7 +201,7 @@ def check_most_probable_state(
     total_n = spec.particles
     n_levels = spec.spectrum.count
     comps = CompositionSet(total=total_n, parts=n_levels)
-    comps.require_within_cap(cap)
+    comps.require_within_cap()
 
     best: tuple[int, ...] | None = None
     best_log = -math.inf
@@ -252,14 +234,14 @@ def check_einstein_convergence(
     the schedule (the gap is the Stirling error of ln W, so it shrinks
     like ln N / N).
     """
-    if len(p) != len(prior):
-        raise SupportViolation(f"length mismatch {len(p)} vs {len(prior)}")
+    _same_length(len(p), len(prior), "entries")
+    k = _boltzmann_k(k)
     for a, b in zip(p.entries, prior.entries):
         if a > 0.0 and b <= 0.0:
             raise SupportViolation("p has mass where the prior has none")
 
     points = []
-    for total_n in map(_particles, n_schedule):
+    for total_n in map(_count, n_schedule):  # each metric is per particle
         m = round_to_macrostate(total_n, p.entries)
         log_p_exact = math.log(_exact_weight(m.occupations)) + math.fsum(
             x * math.log(q) for x, q in zip(m.occupations, prior.entries) if x
@@ -274,9 +256,7 @@ def check_einstein_convergence(
     return _schedule("einstein_probability_convergence", points, increasing=False)
 
 
-def check_weight_dominance(
-    n: int, n_schedule: Sequence[int], cap: int = DEFAULT_SIZE_CAP
-) -> list[OracleReport]:
+def check_weight_dominance(n: int, n_schedule: Sequence[int]) -> list[OracleReport]:
     """r(N) = ln W_max / ln W_total must increase toward 1 along N.
 
     W_total is n**N exactly (multinomial theorem). W_max comes from
@@ -289,14 +269,11 @@ def check_weight_dominance(
     name = "weight_dominance_ratio"
     if n == 1:
         return [_report(name, f"N={total_n} n=1", "1", 1.0, 0.0, 1.0, 0.0, True)
-                for total_n in map(_particles, n_schedule)]
+                for total_n in map(_count, n_schedule)]
     points = []
-    for total_n in map(_particles, n_schedule):
+    for total_n in map(_count, n_schedule):  # the ratio is per particle
         comps = CompositionSet(total=total_n, parts=n)
-        if (
-            comps.cardinality <= min(cap, EXACT_MODE_CAP)
-            and total_n <= EXACT_MODE_PARTICLE_CAP
-        ):
+        if comps.cardinality <= EXACT_MODE_CAP and total_n <= EXACT_MODE_PARTICLE_CAP:
             w_max = max(w for _, w in _exact_weights(comps))
             log_w_max = math.log(w_max)
             exact = str(w_max)

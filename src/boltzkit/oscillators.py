@@ -133,8 +133,6 @@ def auto_truncation(
     max_levels: int = 1_000_000,
 ) -> OscillatorModel:
     """Smallest power-of-two-scaled truncation whose tail bound meets tol."""
-    if not (beta > 0.0):
-        raise NonPositiveBeta(f"beta {beta!r} must be positive")
     L = max(2, model.truncation)
     while True:
         candidate = OscillatorModel(model.h_nu, model.dimensionality, L)

@@ -329,3 +329,108 @@ class TestValidateSpec:
         path.write_text("{nope")
         with pytest.raises(ValidationError):
             load_spec(str(path))
+
+
+TWO = EnergySpectrum([0.0, 1.0])
+HALVES = ProbabilityVector([0.5, 0.5])
+JUNK_N = [None, "3", 2.5, 3.0, True, math.nan, 0, -1]
+JUNK_K = [None, "3", True, math.nan, math.inf, 10**400, 0, -1]
+
+
+def _n_routes():
+    """Every entry point that takes a particle count, as N -> call."""
+    from boltzkit import (check_einstein_convergence, check_weight_dominance,
+                          equilibrium_entropy_prior, equilibrium_entropy_uniform,
+                          kl_cross_entropy)
+    return {
+        "SystemSpec": lambda n: SystemSpec(TWO, HALVES, n),
+        "validate_spec": lambda n: validate_spec(
+            {"levels": [0, 1], "priors": [0.5, 0.5], "N": n}),
+        "kl_cross_entropy": lambda n: kl_cross_entropy(HALVES, HALVES, N=n),
+        "entropy_uniform": lambda n: equilibrium_entropy_uniform(TWO, 1.0, n),
+        "entropy_prior": lambda n: equilibrium_entropy_prior(TWO, HALVES, 1.0, n),
+        "weight_dominance": lambda n: check_weight_dominance(2, (n,)),
+        "einstein": lambda n: check_einstein_convergence(HALVES, HALVES, (n,)),
+    }
+
+
+def _k_routes():
+    """Every entry point that takes Boltzmann's constant, as k -> call."""
+    from boltzkit import (check_einstein_convergence, equilibrium_entropy_prior,
+                          equilibrium_entropy_uniform, kl_cross_entropy)
+    return {
+        "SystemSpec": lambda k: SystemSpec(TWO, HALVES, 2, k),
+        "validate_spec": lambda k: validate_spec(
+            {"levels": [0, 1], "priors": [0.5, 0.5], "N": 2, "k": k}),
+        "kl_cross_entropy": lambda k: kl_cross_entropy(HALVES, HALVES, k),
+        "entropy_uniform": lambda k: equilibrium_entropy_uniform(TWO, 1.0, 1, k),
+        "entropy_prior": lambda k: equilibrium_entropy_prior(TWO, HALVES, 1.0, 1, k),
+        "einstein": lambda k: check_einstein_convergence(HALVES, HALVES, (4,), k),
+    }
+
+
+def _length_routes():
+    """The entry points that pair per-level inputs, each given 3 for 2."""
+    from fractions import Fraction
+
+    from boltzkit import (check_einstein_convergence, check_normalization_and_means,
+                          generalized_distribution, kl_divergence,
+                          log_macrostate_probability, macrostate_probability_exact,
+                          occupation_cross_entropy, solve_beta)
+    thirds = ProbabilityVector([1 / 3] * 3)
+    spec = SystemSpec(TWO, HALVES, 2)
+    return {
+        "SystemSpec": lambda: SystemSpec(EnergySpectrum([0, 1, 2]), HALVES, 2),
+        "validate_spec": lambda: validate_spec(
+            {"levels": [0, 1, 2], "priors": [0.5, 0.5], "N": 2}),
+        "generalized_distribution": lambda: generalized_distribution(TWO, thirds, 1.0),
+        "solve_beta": lambda: solve_beta(TWO, thirds, 0.5),
+        "kl_divergence": lambda: kl_divergence(HALVES, thirds),
+        "occupation_cross_entropy": lambda: occupation_cross_entropy(
+            Macrostate([1, 1]), [1.0, 0.5, 0.5]),
+        "log_macrostate_probability": lambda: log_macrostate_probability(
+            Macrostate([1, 1]), thirds),
+        "macrostate_probability_exact": lambda: macrostate_probability_exact(
+            Macrostate([1, 1]), [Fraction(1, 3)] * 3),
+        "check_normalization_and_means": lambda: check_normalization_and_means(
+            spec, [Fraction(1, 3)] * 3),
+        "check_einstein_convergence": lambda: check_einstein_convergence(
+            HALVES, thirds, (4,)),
+    }
+
+
+class TestOneOwnerPerRule:
+    """Each input rule is checked in ``core`` and raises one class, at every
+    entry point, whatever the junk; never a TypeError."""
+
+    @pytest.mark.parametrize("route", sorted(_n_routes()))
+    @pytest.mark.parametrize("n", JUNK_N, ids=repr)
+    def test_junk_particle_count(self, route, n):
+        with pytest.raises(NonPositiveN, match="particle count"):
+            _n_routes()[route](n)
+
+    @pytest.mark.parametrize("route", sorted(_k_routes()))
+    @pytest.mark.parametrize("k", JUNK_K, ids=lambda k: repr(k)[:12])
+    def test_junk_boltzmann_k(self, route, k):
+        with pytest.raises(ValidationError, match="boltzmann_k"):
+            _k_routes()[route](k)
+
+    @pytest.mark.parametrize("route", sorted(_length_routes()))
+    def test_length_mismatch(self, route):
+        with pytest.raises(LengthMismatch, match="length mismatch"):
+            _length_routes()[route]()
+
+    def test_spec_stores_an_int_count_and_a_float_k(self):
+        spec = SystemSpec(TWO, HALVES, np.int64(3), 2)
+        assert type(spec.particles) is int and spec.particles == 3
+        assert type(spec.boltzmann_k) is float and spec.boltzmann_k == 2.0
+        assert spec == SystemSpec(TWO, HALVES, 3, 2.0)
+        assert SystemSpec(TWO, HALVES, 10**400).particles == 10**400
+
+    def test_prior_checks_come_before_the_length_check(self):
+        # validate_spec renormalizes the priors first; SystemSpec then
+        # compares the lengths
+        with pytest.raises(PriorSumMismatch):
+            validate_spec({"levels": [0, 1, 2], "priors": [0.5, 0.6], "N": 2})
+        with pytest.raises(NegativePrior):
+            validate_spec({"levels": [0, 1, 2], "priors": [1.5, -0.5], "N": 2})

@@ -402,6 +402,9 @@ class TestSolverRegressions:
     @pytest.mark.parametrize("levels, target", [
         ([0.0, 1e-300, 1.0], 1e-310),
         ([0.0, 1e-200, 2e-200, 1.0], 1e-205),
+        # the mirror images: the crowded levels sit at the top, beta < 0
+        ([-1.0, -1e-300, 0.0], -1e-310),
+        ([-1.0, -8.3e-7, -6.58e-7, 0.0], -3.0846934659513736e-09),
     ])
     def test_tail_where_the_variance_underflows(self, monkeypatch, levels, target):
         # past t ~ 1e3 p sits on the lowest levels and Var(u) underflows to
@@ -414,9 +417,83 @@ class TestSolverRegressions:
                             lambda *args: calls.append(args[2]) or kernel(*args))
         sol = solve_beta(EnergySpectrum(levels), uniform_prior(len(levels)), target)
         assert len(calls) <= 20
-        assert abs(sol.mean_energy - target) <= ENERGY_TOL_FACTOR * levels[-1]
+        span = levels[-1] - levels[0]
+        assert abs(sol.mean_energy - target) <= ENERGY_TOL_FACTOR * span
         assert sol.mean_energy == pytest.approx(target, rel=1e-9)
         if len(levels) == 3:
             # p_1 / (p_0 + p_1) = 1e-10 = e^(-beta 1e-300) / (1 + e^(-beta 1e-300))
-            assert sol.beta == pytest.approx(-math.log(1e-10 / (1 - 1e-10)) / 1e-300,
-                                             rel=1e-12)
+            root = -math.log(1e-10 / (1 - 1e-10)) / 1e-300
+            assert sol.beta == pytest.approx(math.copysign(root, target), rel=1e-12)
+        steps = len(calls)
+        mirror = solve_beta(EnergySpectrum([-x for x in levels]),
+                            uniform_prior(len(levels)), -target)
+        assert sol.beta == pytest.approx(-mirror.beta, rel=1e-12)
+        assert len(calls) - steps == steps  # the mirror takes the same path
+
+    def test_mirrored_problem_gives_minus_beta(self):
+        # E -> -E and target -> -target maps beta to -beta, so the answer
+        # must not depend on which end of the range the crowded levels sit
+        rng = np.random.default_rng(61)
+        for _ in range(1000):
+            n = int(rng.integers(2, 9))
+            levels = rng.uniform(-1.0, 1.0, n)
+            if rng.random() < 0.5:  # gaps of 1e-9..1e-5 at one end of the range
+                gaps = 10 ** rng.uniform(-9, -5, n - 1) * rng.random(n - 1)
+                levels = np.append(levels[0] + np.append(0.0, gaps),
+                                   levels[0] + rng.uniform(0.5, 2.0))
+            raw = rng.dirichlet(np.ones(len(levels))) + 0.01
+            prior = ProbabilityVector(raw / raw.sum())
+            frac = (10 ** rng.uniform(-9, -0.3) if rng.random() < 0.5
+                    else rng.uniform(0.01, 0.99))
+            if rng.random() < 0.5:
+                frac = 1.0 - frac
+            lo, hi = levels.min(), levels.max()
+            target = float(lo + (hi - lo) * frac)
+            beta = solve_beta(EnergySpectrum(levels), prior, target).beta
+            mirror = solve_beta(EnergySpectrum(-levels), prior, -target).beta
+            assert abs(beta + mirror) <= 1e-12 * abs(beta), (levels, target)
+
+    @pytest.mark.parametrize("levels, target, midpoints", [
+        ([0.0, 6.58e-7, 8.3e-7, 1.0], 3.0846934659513736e-09, {"asinh"}),
+        ([0.0, 5.47e-7, 5.62e-7, 6.84e-7, 1.0], 4.675777377787808e-09,
+         {"asinh", "plain"}),
+    ])
+    def test_bisection_step_rules(self, levels, target, midpoints):
+        # Newton stalls here once both sides of the root are known, so the
+        # solver bisects: in asinh(t) across decades, plainly within one
+        import inspect
+        import sys
+
+        source, first = inspect.getsourcelines(solve_beta)
+        step_lines = {
+            name: first + [i for i, line in enumerate(source) if text in line][0]
+            for name, text in (("asinh", "math.sinh("), ("plain", "0.5 * (lo + hi)"))
+        }
+        seen = set()
+
+        def tracer(frame, event, arg):
+            if frame.f_code is not solve_beta.__code__:
+                return None
+            if event == "line":
+                seen.add(frame.f_lineno)
+            return tracer
+
+        spectrum, prior = EnergySpectrum(levels), uniform_prior(len(levels))
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            sol = solve_beta(spectrum, prior, target)
+        finally:
+            sys.settrace(previous)
+        assert {name for name, line in step_lines.items() if line in seen} == midpoints
+
+        def mean(beta):
+            return generalized_distribution(spectrum, prior, beta).mean_energy
+
+        lo, hi = 0.0, 1.0  # plain bisection on beta, to the last bit
+        while mean(hi) > target:
+            lo, hi = hi, 2.0 * hi
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if mean(mid) > target else (lo, mid)
+        assert sol.beta == pytest.approx(lo, rel=1e-12)

@@ -100,6 +100,9 @@ class TestClosedForm:
             mean_energy_closed(OscillatorModel(1.0, LIN), 0.0)
         with pytest.raises(NonPositiveBeta):
             mean_energy_closed(OscillatorModel(1.0, PLA), -1.0)
+        # the series raises it for auto_truncation, which has no check of its own
+        with pytest.raises(NonPositiveBeta, match="beta 0.0 must be positive"):
+            auto_truncation(OscillatorModel(1.0, LIN), 0.0, tol=1e-6)
 
 
 class TestSeries:
