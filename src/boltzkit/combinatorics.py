@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import Macrostate, ProbabilityVector, _same_length
-from .errors import SizeGuardExceeded, ValidationError
+from .core import Macrostate, ProbabilityVector, _same_length, _size
+from .errors import SizeGuardExceeded
 
 #: The one cap on exact enumeration and eager materialization of a set.
 DEFAULT_SIZE_CAP = 10_000_000
@@ -82,10 +82,8 @@ class CompositionSet:
     parts: int
 
     def __post_init__(self):
-        if self.parts < 1:
-            raise ValidationError(f"need parts >= 1, got {self.parts}")
-        if self.total < 0:
-            raise ValidationError(f"need total >= 0, got {self.total}")
+        object.__setattr__(self, "parts", _size(self.parts, "part count"))
+        object.__setattr__(self, "total", _size(self.total, "composition total", 0))
 
     @property
     def cardinality(self) -> int:

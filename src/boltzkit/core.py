@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 from .errors import (
+    InvalidCount,
     LengthMismatch,
     NegativePrior,
     NonFiniteEnergy,
@@ -68,15 +69,32 @@ def _same_length(size: int, levels: int, what: str) -> None:
         raise LengthMismatch(f"length mismatch: {size} {what} for {levels} levels")
 
 
+def _index(n, least: int) -> int | None:
+    """n as an int if it is an integer >= least and not a bool, else None."""
+    if isinstance(n, bool):
+        return None
+    try:
+        value = operator.index(n)
+    except TypeError:
+        return None
+    return value if value >= least else None
+
+
 def _count(n) -> int:
     """A particle count as an int; a bool, a float or a value < 1 is refused."""
-    try:
-        count = None if isinstance(n, bool) else operator.index(n)
-    except TypeError:
-        count = None
-    if count is None or count < 1:
+    count = _index(n, 1)
+    if count is None:
         raise NonPositiveN(f"particle count {n!r} is not a positive integer")
     return count
+
+
+def _size(n, what: str, least: int = 1) -> int:
+    """A level, part or truncation count (or, with least=0, a composition's
+    total) as an int; a bool, a float or a value < least is refused."""
+    size = _index(n, least)
+    if size is None:
+        raise InvalidCount(f"{what} {n!r} is not an integer >= {least}")
+    return size
 
 
 def _boltzmann_k(k) -> float:
@@ -167,8 +185,7 @@ class ProbabilityVector(_Floats):
 
 def uniform_prior(n: int) -> ProbabilityVector:
     """The maximally noncommittal prior: every level gets weight 1/n."""
-    if n < 1:
-        raise ZeroLevels(f"need n >= 1 levels, got {n}")
+    n = _size(n, "level count")
     return ProbabilityVector((1.0 / n,) * n)
 
 

@@ -29,10 +29,21 @@ MEAN_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EntropyValue:
-    """An entropy in units of the Boltzmann constant it was computed with."""
+    """An entropy in units of the Boltzmann constant it was computed with,
+    which passes the k rule and is stored as a float."""
 
     value: float
     k_used: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "k_used", _boltzmann_k(self.k_used))
+
+
+def _entropy(nats: float, k: float) -> EntropyValue:
+    """k * nats: EntropyValue checks k once, then the product is stored."""
+    entropy = EntropyValue(value=nats, k_used=k)
+    object.__setattr__(entropy, "value", entropy.k_used * nats)
+    return entropy
 
 
 def _x_log(xs: Iterable, tops: Iterable, bottoms: Iterable) -> float:
@@ -42,7 +53,7 @@ def _x_log(xs: Iterable, tops: Iterable, bottoms: Iterable) -> float:
 
 def shannon_entropy(p: ProbabilityVector, k: float = 1.0) -> EntropyValue:
     """-k * sum(p_i ln p_i): uncertainty of a probability distribution."""
-    return EntropyValue(value=-k * _x_log(p.entries, p.entries, repeat(1.0)), k_used=k)
+    return _entropy(-_x_log(p.entries, p.entries, repeat(1.0)), k)
 
 
 def boltzmann_shannon_entropy(m: Macrostate, k: float = 1.0) -> EntropyValue:
@@ -52,7 +63,7 @@ def boltzmann_shannon_entropy(m: Macrostate, k: float = 1.0) -> EntropyValue:
     negative; only entropy differences are meaningful for it.
     """
     occ = m.occupations
-    return EntropyValue(value=-k * _x_log(occ, occ, repeat(1.0)), k_used=k)
+    return _entropy(-_x_log(occ, occ, repeat(1.0)), k)
 
 
 def stirling_entropy(m: Macrostate, k: float = 1.0) -> EntropyValue:
@@ -63,12 +74,12 @@ def stirling_entropy(m: Macrostate, k: float = 1.0) -> EntropyValue:
     if m.total < 1:
         raise ValidationError("stirling_entropy needs at least one particle")
     occ = m.occupations
-    return EntropyValue(value=-k * _x_log(occ, occ, repeat(m.total)), k_used=k)
+    return _entropy(-_x_log(occ, occ, repeat(m.total)), k)
 
 
 def exact_boltzmann_entropy(m: Macrostate, k: float = 1.0) -> EntropyValue:
     """k ln W with the exact microstate count W = N!/prod(N_i!)."""
-    return EntropyValue(value=k * _log_weight(m.occupations), k_used=k)
+    return _entropy(_log_weight(m.occupations), k)
 
 
 def kl_divergence(
@@ -127,7 +138,7 @@ def occupation_cross_entropy(
     KL divergence of the empirical frequencies from mean/N).
     """
     mn = _check_mean(m, mean)
-    return k * _x_log(m.occupations, m.occupations, mn)
+    return _boltzmann_k(k) * _x_log(m.occupations, m.occupations, mn)
 
 
 def negentropy_relation(
@@ -144,7 +155,7 @@ def negentropy_relation(
     S_ref and the entropy of the mean vector itself is an asymptotic
     statement, exercised by the convergence checks in the oracle module.
     """
-    mn = _check_mean(m, mean)
+    mn, k = _check_mean(m, mean), _boltzmann_k(k)
     occ, n_total = m.occupations, repeat(m.total)
     s_state = -k * _x_log(occ, occ, n_total)
     s_ref = -k * _x_log(occ, mn, n_total)

@@ -124,6 +124,7 @@ ENERGY_TOL_FACTOR = 1e-10
 
 _MAX_STEPS = 200
 _RESOLUTION = 4.0 * sys.float_info.epsilon
+_T_MAX = sys.float_info.max
 
 
 def solve_beta(
@@ -140,12 +141,13 @@ def solve_beta(
     beta=0 mean hits the target.
 
     It works on the supported levels in units of their range, u = (E -
-    E_min)/(E_max - E_min), with t = beta (E_max - E_min). The minimum of
-    the convex dual ln Z_w(t) + t u_target (slope u_target - <u>, curvature
-    Var(u)) is found by Newton's method on the log-odds of <u>; once both
-    sides of the root are known, a step that leaves them bisects instead.
-    It iterates to full precision, checks the residual <E> - E_min against
-    target - E_min, and builds only the returned distribution.
+    E_min)/(E_max - E_min), with t = beta (E_max - E_min). If the prior's
+    mean (at t = 0) is below the target, it solves the mirror image u -> 1 -
+    u and negates t, so t >= 0 and a mirrored problem gives -beta bit for
+    bit. Newton's method on the log-odds of <u> finds the minimum of the
+    convex dual ln Z_w(t) + t u_target, to full precision. A step that
+    leaves the known bracket bisects it; one past float range first tries
+    the largest float, and a beta beyond float range is a NumericError.
     """
     if not math.isfinite(target_mean_energy):
         raise ValidationError(f"target {target_mean_energy!r} must be finite")
@@ -169,48 +171,52 @@ def solve_beta(
         )
     span = e_max - e_min
     goal = (target_mean_energy - e_min) / span
+    goal_rest = (e_max - target_mean_energy) / span  # the mirror image's goal
     with np.errstate(divide="ignore", invalid="ignore"):
-        goal_odds = float(np.log(goal) - np.log((e_max - target_mean_energy) / span))
+        goal_odds = float(np.log(goal) - np.log(goal_rest))
     if not math.isfinite(goal_odds):
         raise NumericError(
             f"target {target_mean_energy} is not resolvable within the "
             f"range ({e_min}, {e_max})"
         )
     u, rest = (levels - e_min) / span, (e_max - levels) / span  # rest = 1 - u
-    rise, fall = float(u[u > 0.0].min()), float(rest[rest > 0.0].min())  # gaps
 
-    t, lo, hi, step = 0.0, -math.inf, math.inf, math.inf
-    for _ in range(_MAX_STEPS):  # the root stays between lo and hi
-        # exp(-t u) is exp(|t| rest) up to a constant: for t < 0 the kernel
-        # runs on rest, whose gaps next to the top level u = 1 - rest rounds away
-        near, far = (u, rest) if t >= 0.0 else (rest, u)
-        p, _, near_mean = _exponential_family(near, log_prior, abs(t))
-        far_mean = float(np.dot(p, far))
-        variance = float(np.dot(p, (near - near_mean) ** 2))  # = Var(u)
-        mean, mean_rest = (near_mean, far_mean) if t >= 0.0 else (far_mean, near_mean)
+    sign, t, lo, hi, step = 1.0, 0.0, 0.0, math.inf, math.inf
+    for _ in range(_MAX_STEPS):  # the root stays in [lo, hi)
+        p, _, mean = _exponential_family(u, log_prior, t)
+        mean_rest = float(np.dot(p, rest))
+        with np.errstate(divide="ignore"):
+            odds = float(np.log(mean) - np.log(mean_rest) - goal_odds)
+        if t == 0.0 and odds < 0.0:  # the root is at t < 0: from here on solve
+            # the mirror image, whose u is rest; p at t = 0 is the same in both
+            sign, u, rest, mean, mean_rest = -1.0, rest, u, mean_rest, mean
+            goal, goal_odds, odds = goal_rest, -goal_odds, -odds
+        variance = float(np.dot(p, (u - mean) ** 2))
+        if variance > 2.0 * mean * mean_rest:  # past <u><1-u>: <u> rounded near 1
+            variance = float(np.dot(p, (rest - mean_rest) ** 2))  # = Var(u)
         # Newton on the log-odds of <u>, whose slope is -Var(u)/(<u> <1-u>):
-        # exact for two levels and in both saturated tails; where Var(u)
-        # underflows, minus the anchor level's gap to its nearest neighbour
-        with np.errstate(divide="ignore", invalid="ignore"):
-            odds = np.log(mean) - np.log(mean_rest) - goal_odds
-            newton = (odds * mean * mean_rest / variance if variance
-                      else odds / (rise if t >= 0.0 else fall))
+        # exact for two levels and in the saturated tail; where Var(u)
+        # underflows, minus the gap between the two lowest levels
+        newton = (odds * mean * mean_rest / variance if variance
+                  else odds / float(u[u > 0.0].min()))
         if odds > 0.0:
             lo = t
         elif odds < 0.0:
             hi = t
-        scale = max(1.0, abs(t))
+        scale = max(1.0, t)
         stalled = abs(newton) > 0.5 * abs(step)  # corrections stopped halving
         if abs(newton) <= _RESOLUTION * scale or hi - lo <= _RESOLUTION * scale:
             break
         if stalled and abs(step) <= 1e-8 * scale:
             break  # Newton has reached the rounding noise of <u>
-        bracketed = math.isfinite(hi - lo)
-        if lo < t + newton < hi and not (bracketed and stalled):
-            step = float(newton)
-        elif not bracketed:  # one side still open and Newton went nowhere finite
-            step = math.copysign(1.0 + abs(t), odds)
-        elif hi - lo > 2.0 + min(abs(lo), abs(hi)):  # bisect across decades
+        if lo < t + newton < hi and not (stalled and hi < math.inf):
+            step = newton
+        elif hi == math.inf and t < _T_MAX:  # Newton leaves float range: try
+            step = _T_MAX - t  # its largest value
+        elif hi == math.inf:  # the root lies beyond float range
+            t = math.inf
+            break
+        elif hi - lo > 2.0 + lo:  # bisect across decades
             step = math.sinh(0.5 * (math.asinh(lo) + math.asinh(hi))) - t
         else:
             step = 0.5 * (lo + hi) - t
@@ -218,12 +224,17 @@ def solve_beta(
     else:
         raise NumericError(f"solver did not converge in {_MAX_STEPS} steps")
 
-    if abs(mean - goal) > ENERGY_TOL_FACTOR:
+    beta = sign * t / span
+    if not math.isfinite(beta):
         raise NumericError(
-            f"solver stalled: mean {e_min + mean * span!r} "
-            f"misses target {target_mean_energy!r}"
+            f"target {target_mean_energy!r} needs a beta beyond float range"
         )
-    return generalized_distribution(spectrum, prior, t / span)
+    if abs(mean - goal) > ENERGY_TOL_FACTOR:
+        missed = target_mean_energy + sign * (mean - goal) * span
+        raise NumericError(
+            f"solver stalled: mean {missed!r} misses target {target_mean_energy!r}"
+        )
+    return generalized_distribution(spectrum, prior, beta)
 
 
 def _prior_entropy(prior: ProbabilityVector, log_prior: np.ndarray) -> float:

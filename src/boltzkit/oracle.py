@@ -31,11 +31,12 @@ from .core import (
     _boltzmann_k,
     _count,
     _same_length,
+    _size,
     uniform_prior,
 )
 from .entropy import occupation_cross_entropy
 from .equilibrium import generalized_distribution
-from .errors import SupportViolation
+from .errors import SupportViolation, ValidationError
 
 #: Enumeration sizes above these go through log-gamma instead of big
 #: integers (the particle cap keeps factorial division affordable).
@@ -264,8 +265,7 @@ def check_weight_dominance(n: int, n_schedule: Sequence[int]) -> list[OracleRepo
     enough, otherwise from log-gamma at the balanced occupation vector
     (the known argmax of the multinomial coefficient).
     """
-    if n < 1:
-        raise SupportViolation(f"need n >= 1 levels, got {n}")
+    n = _size(n, "level count")
     name = "weight_dominance_ratio"
     if n == 1:
         return [_report(name, f"N={total_n} n=1", "1", 1.0, 0.0, 1.0, 0.0, True)
@@ -302,7 +302,7 @@ def default_suite(scale: str = "quick") -> list[OracleReport]:
     enumeration ceiling to N = 20 and adds the convergence schedules.
     """
     if scale not in ("quick", "full"):
-        raise ValueError(f"scale must be 'quick' or 'full', got {scale!r}")
+        raise ValidationError(f"scale must be 'quick' or 'full', got {scale!r}")
     reports: list[OracleReport] = []
 
     norm_instances = [

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import EnergySpectrum, ProbabilityVector, uniform_prior
+from .core import EnergySpectrum, ProbabilityVector, _size, uniform_prior
 from .errors import NonPositiveBeta, TruncationInsufficient, ValidationError
 
 
@@ -39,8 +39,7 @@ class OscillatorModel:
     def __post_init__(self):
         if not (self.h_nu > 0.0 and math.isfinite(self.h_nu)):
             raise ValidationError(f"h_nu {self.h_nu!r} must be a positive real")
-        if self.truncation < 1:
-            raise ValidationError(f"truncation {self.truncation} must be >= 1")
+        object.__setattr__(self, "truncation", _size(self.truncation, "truncation"))
 
 
 def mean_energy_closed(model: OscillatorModel, beta: float) -> float:

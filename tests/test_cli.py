@@ -286,6 +286,34 @@ class TestSolve:
         assert code == 4
         assert out == ""
 
+    @pytest.mark.parametrize("levels, target, message", [
+        ([0.0, 1e-310, 1.0], "1e-315", "needs a beta beyond float range"),
+        ([0.0, 1e-310, 1e-3], "4.5e-315", "needs a beta beyond float range"),
+        ([0.0, 1e308], "1e-320", "is not resolvable"),
+    ])
+    def test_unreachable_root_exits_3(self, tmp_path, levels, target, message):
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps(
+            {"levels": levels, "priors": [1 / len(levels)] * len(levels), "N": 1}))
+        err = io.StringIO()
+        code, out = run_main("solve", "--spec", str(path), "--target-energy",
+                             target, stderr=err)
+        assert code == 3
+        assert out == ""
+        errors = [l for l in err.getvalue().splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Warning" not in err.getvalue()
+
+    def test_root_near_the_float_limit(self, tmp_path):
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps({"levels": [0.0, 1e-310, 1.0],
+                                    "priors": [1 / 3] * 3, "N": 1}))
+        code, out = run_main("solve", "--spec", str(path), "--target-energy",
+                             "4.96e-311")
+        assert code == 0
+        header, body = parse_csv(out.encode())
+        assert {row[header.index("beta")] for row in body} == {"1.60003413346e+308"}
+
     def test_degenerate_support_exits_4(self, tmp_path):
         path = tmp_path / "flat.json"
         path.write_text(SPEC_FLAT)

@@ -22,6 +22,7 @@ from boltzkit import (
 )
 from boltzkit.core import load_spec
 from boltzkit.errors import (
+    InvalidCount,
     LengthMismatch,
     NegativePrior,
     NonFiniteEnergy,
@@ -335,6 +336,7 @@ TWO = EnergySpectrum([0.0, 1.0])
 HALVES = ProbabilityVector([0.5, 0.5])
 JUNK_N = [None, "3", 2.5, 3.0, True, math.nan, 0, -1]
 JUNK_K = [None, "3", True, math.nan, math.inf, 10**400, 0, -1]
+JUNK_COUNT = [None, "3", 2.5, 3.0, True, math.nan, -1]
 
 
 def _n_routes():
@@ -356,9 +358,22 @@ def _n_routes():
 
 def _k_routes():
     """Every entry point that takes Boltzmann's constant, as k -> call."""
-    from boltzkit import (check_einstein_convergence, equilibrium_entropy_prior,
-                          equilibrium_entropy_uniform, kl_cross_entropy)
+    from boltzkit import (EntropyValue, boltzmann_shannon_entropy,
+                          check_einstein_convergence, equilibrium_entropy_prior,
+                          equilibrium_entropy_uniform, exact_boltzmann_entropy,
+                          kl_cross_entropy, negentropy_relation,
+                          occupation_cross_entropy, shannon_entropy,
+                          stirling_entropy)
+    state = Macrostate([1, 2])
     return {
+        "EntropyValue": lambda k: EntropyValue(0.5, k),
+        "shannon_entropy": lambda k: shannon_entropy(HALVES, k),
+        "boltzmann_shannon_entropy": lambda k: boltzmann_shannon_entropy(state, k),
+        "stirling_entropy": lambda k: stirling_entropy(state, k),
+        "exact_boltzmann_entropy": lambda k: exact_boltzmann_entropy(state, k),
+        "occupation_cross_entropy": lambda k: occupation_cross_entropy(
+            state, [1.5, 1.5], k),
+        "negentropy_relation": lambda k: negentropy_relation(state, [1.5, 1.5], k),
         "SystemSpec": lambda k: SystemSpec(TWO, HALVES, 2, k),
         "validate_spec": lambda k: validate_spec(
             {"levels": [0, 1], "priors": [0.5, 0.5], "N": 2, "k": k}),
@@ -366,6 +381,24 @@ def _k_routes():
         "entropy_uniform": lambda k: equilibrium_entropy_uniform(TWO, 1.0, 1, k),
         "entropy_prior": lambda k: equilibrium_entropy_prior(TWO, HALVES, 1.0, 1, k),
         "einstein": lambda k: check_einstein_convergence(HALVES, HALVES, (4,), k),
+    }
+
+
+def _count_routes():
+    """Every entry point that takes a level, part or truncation count, or a
+    composition's total, as (count -> call, least valid count)."""
+    from boltzkit import (CompositionSet, OscillatorModel, check_weight_dominance,
+                          enumerate_compositions)
+    from boltzkit.oscillators import Dimensionality
+    return {
+        "uniform_prior": (uniform_prior, 1),
+        "CompositionSet.parts": (lambda n: CompositionSet(3, n), 1),
+        "CompositionSet.total": (lambda n: CompositionSet(n, 2), 0),
+        "enumerate_compositions.parts": (lambda n: enumerate_compositions(3, n), 1),
+        "enumerate_compositions.total": (lambda n: enumerate_compositions(n, 2), 0),
+        "weight_dominance": (lambda n: check_weight_dominance(n, (4,)), 1),
+        "OscillatorModel.truncation": (
+            lambda n: OscillatorModel(1.0, Dimensionality.LINEAR_1D, n), 1),
     }
 
 
@@ -414,6 +447,33 @@ class TestOneOwnerPerRule:
     def test_junk_boltzmann_k(self, route, k):
         with pytest.raises(ValidationError, match="boltzmann_k"):
             _k_routes()[route](k)
+
+    @pytest.mark.parametrize("route", sorted(_count_routes()))
+    @pytest.mark.parametrize("n", JUNK_COUNT, ids=repr)
+    def test_junk_count(self, route, n):
+        with pytest.raises(InvalidCount, match="is not an integer >="):
+            _count_routes()[route][0](n)
+
+    @pytest.mark.parametrize("route", sorted(_count_routes()))
+    def test_count_below_its_least_value(self, route):
+        call, least = _count_routes()[route]
+        with pytest.raises(InvalidCount, match=f"is not an integer >= {least}"):
+            call(least - 1)
+        call(least)
+
+    def test_counts_are_stored_as_ints(self):
+        from boltzkit import CompositionSet, OscillatorModel
+        from boltzkit.oscillators import Dimensionality
+        comps = CompositionSet(np.int64(3), np.int64(2))
+        assert type(comps.total) is int and type(comps.parts) is int
+        model = OscillatorModel(1.0, Dimensionality.LINEAR_1D, np.int64(4))
+        assert type(model.truncation) is int
+        assert len(uniform_prior(np.int64(4))) == 4
+
+    def test_entropy_value_stores_k_as_a_float(self):
+        from boltzkit import shannon_entropy
+        s = shannon_entropy(HALVES, k=2)
+        assert type(s.k_used) is float and s.k_used == 2.0
 
     @pytest.mark.parametrize("route", sorted(_length_routes()))
     def test_length_mismatch(self, route):

@@ -19,6 +19,7 @@ from boltzkit import (
 from boltzkit.equilibrium import ENERGY_TOL_FACTOR
 from boltzkit.errors import (
     NoVariation,
+    NumericError,
     TargetOutOfRange,
     ValidationError,
     ZeroPriorEntry,
@@ -324,6 +325,17 @@ class TestOffsetAndScale:
                 assert scaled.beta == beta / c
 
 
+def _kernel_calls(monkeypatch) -> list:
+    """The list of t (beta in solver units) of every kernel call from now on."""
+    from boltzkit import equilibrium
+
+    calls = []
+    kernel = equilibrium._exponential_family
+    monkeypatch.setattr(equilibrium, "_exponential_family",
+                        lambda *args: calls.append(args[2]) or kernel(*args))
+    return calls
+
+
 class TestSolverRegressions:
     """Inputs on which a solver working in absolute energies stalls or
     drifts."""
@@ -409,12 +421,7 @@ class TestSolverRegressions:
     def test_tail_where_the_variance_underflows(self, monkeypatch, levels, target):
         # past t ~ 1e3 p sits on the lowest levels and Var(u) underflows to
         # 0; the root lies near t = 1e301 (1e201), out of reach of doubling
-        from boltzkit import equilibrium
-
-        calls = []
-        kernel = equilibrium._exponential_family
-        monkeypatch.setattr(equilibrium, "_exponential_family",
-                            lambda *args: calls.append(args[2]) or kernel(*args))
+        calls = _kernel_calls(monkeypatch)
         sol = solve_beta(EnergySpectrum(levels), uniform_prior(len(levels)), target)
         assert len(calls) <= 20
         span = levels[-1] - levels[0]
@@ -427,12 +434,15 @@ class TestSolverRegressions:
         steps = len(calls)
         mirror = solve_beta(EnergySpectrum([-x for x in levels]),
                             uniform_prior(len(levels)), -target)
-        assert sol.beta == pytest.approx(-mirror.beta, rel=1e-12)
-        assert len(calls) - steps == steps  # the mirror takes the same path
+        assert sol.beta == -mirror.beta
+        # the mirror takes the same steps; the last call builds the result
+        assert calls[steps:-1] == calls[:steps - 1]
 
-    def test_mirrored_problem_gives_minus_beta(self):
+    def test_mirrored_problem_gives_minus_beta(self, monkeypatch):
         # E -> -E and target -> -target maps beta to -beta, so the answer
-        # must not depend on which end of the range the crowded levels sit
+        # must not depend on which end of the range the crowded levels sit:
+        # the solver takes the same steps on both, and returns -beta exactly
+        calls = _kernel_calls(monkeypatch)
         rng = np.random.default_rng(61)
         for _ in range(1000):
             n = int(rng.integers(2, 9))
@@ -449,9 +459,47 @@ class TestSolverRegressions:
                 frac = 1.0 - frac
             lo, hi = levels.min(), levels.max()
             target = float(lo + (hi - lo) * frac)
+            calls.clear()
             beta = solve_beta(EnergySpectrum(levels), prior, target).beta
+            steps = len(calls)
             mirror = solve_beta(EnergySpectrum(-levels), prior, -target).beta
-            assert abs(beta + mirror) <= 1e-12 * abs(beta), (levels, target)
+            assert beta == -mirror, (levels, target)
+            assert calls[steps:-1] == calls[:steps - 1]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("levels, weights, target, beta, kernel_calls", [
+        # the gap to the nearest level is subnormal: Var(u) is 0 past t ~ 1e3
+        # and the tail slope is 1e-310, so Newton's step is the log-odds/1e-310
+        ([0.0, 1e-310, 1.0], None, 4.96e-311, 1.6000341334574888e308, 40),
+        ([0.0, 1e-310, 1.0], None, 1e-315, None, 20),  # root near t = 1e311
+        # t = 1e308 is in range, beta = t / 1e-3 is not
+        ([0.0, 1e-310, 1e-3], None, 4.5e-315, None, 20),
+        # the prior sits on the middle level: at t = 0, Var(u) = 5e-311 is
+        # tiny next to <u><1-u>, Newton's step overflows, yet the root is t ~ 1e3
+        ([0.0, 1.0, 2.0], [1e-310, 1.0, 1e-310], 0.2, 715.187673189274, 20),
+    ])
+    def test_root_at_the_edge_of_float_range(self, monkeypatch, sign, levels,
+                                             weights, target, beta, kernel_calls):
+        calls = _kernel_calls(monkeypatch)
+        spectrum = EnergySpectrum([sign * x for x in levels])
+        prior = (uniform_prior(len(levels)) if weights is None
+                 else ProbabilityVector(weights))
+        if beta is None:
+            with pytest.raises(NumericError, match="beta beyond float range"):
+                solve_beta(spectrum, prior, sign * target)
+        else:
+            assert solve_beta(spectrum, prior, sign * target).beta == sign * beta
+        assert len(calls) <= kernel_calls
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_prior_mean_next_to_the_top_level(self, sign):
+        # <u> = sum(p u) rounds to 1 - 1.1e-16, so Var(u) about it is 1.2e-32,
+        # far above its bound <u><1-u> = 1e-200; Var(1 - u) is exact. Both
+        # orientations solve to the same |beta| = 200 ln 10
+        prior = ProbabilityVector([0.3, 0.3, 0.4, 1e-200])
+        solved = solve_beta(EnergySpectrum([0.0, 0.0, 0.0, sign]), prior, sign * 0.5)
+        assert solved.beta == pytest.approx(-sign * 200 * math.log(10), rel=1e-14)
+        assert solved.mean_energy == pytest.approx(sign * 0.5, rel=1e-12)
 
     @pytest.mark.parametrize("levels, target, midpoints", [
         ([0.0, 6.58e-7, 8.3e-7, 1.0], 3.0846934659513736e-09, {"asinh"}),

@@ -1,7 +1,7 @@
 """Structural rules of the package source, read from its syntax trees.
 
-Each input rule has one owner: the length and particle-count errors are
-raised only in ``core``. The exact-enumeration cap is one constant, not a
+Each input rule has one owner: the length, particle-count and level-count
+errors are raised only in ``core``. The exact-enumeration cap is one constant, not a
 parameter, and ``core`` imports nothing that loads numpy.
 """
 
@@ -26,7 +26,7 @@ def _raised(tree: ast.AST, name: str) -> int:
     )
 
 
-@pytest.mark.parametrize("error", ["LengthMismatch", "NonPositiveN"])
+@pytest.mark.parametrize("error", ["LengthMismatch", "NonPositiveN", "InvalidCount"])
 def test_rule_errors_are_raised_once_in_core(error):
     assert {module: _raised(tree, error) for module, tree in TREES.items()
             if _raised(tree, error)} == {"core": 1}

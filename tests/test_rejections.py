@@ -1,0 +1,52 @@
+"""Bad inputs that each end in their documented class, at raise sites that
+no other test reaches."""
+
+import json
+
+import pytest
+
+from boltzkit import (EnergySpectrum, Macrostate, occupation_cross_entropy,
+                      solve_beta, stirling_entropy, uniform_prior, validate_spec)
+from boltzkit.core import load_spec
+from boltzkit.errors import NumericError, ValidationError, ZeroLevels
+from boltzkit.oracle import default_suite
+
+
+def _spec_file(tmp_path, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    return str(path)
+
+
+CASES = {
+    "solve_beta-unresolvable-target": (
+        lambda tmp: solve_beta(EnergySpectrum([0.0, 1e308]), uniform_prior(2), 1e-320),
+        NumericError, "target 1e-320 is not resolvable"),
+    "Macrostate-no-levels": (
+        lambda tmp: Macrostate([]), ZeroLevels, "at least one level"),
+    "stirling_entropy-no-particles": (
+        lambda tmp: stirling_entropy(Macrostate([0, 0])),
+        ValidationError, "at least one particle"),
+    "mean-occupation-not-finite": (
+        lambda tmp: occupation_cross_entropy(Macrostate([1, 1]), [float("inf"), 1.0]),
+        ValidationError, "mean occupation inf is not a nonnegative real"),
+    "load_spec-missing-file": (
+        lambda tmp: load_spec(str(tmp / "absent.json")),
+        ValidationError, "cannot read spec file"),
+    "load_spec-json-array": (
+        lambda tmp: load_spec(_spec_file(tmp, json.dumps([[0, 1], [0.5, 0.5], 2]))),
+        ValidationError, "must contain a JSON object"),
+    "validate_spec-levels-not-an-array": (
+        lambda tmp: validate_spec({"levels": "0 1", "priors": [0.5, 0.5], "N": 2}),
+        ValidationError, "must be arrays"),
+    "default_suite-unknown-scale": (
+        lambda tmp: default_suite("medium"),
+        ValidationError, "scale must be 'quick' or 'full', got 'medium'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rejected_input(tmp_path, case):
+    call, error, message = CASES[case]
+    with pytest.raises(error, match=message):
+        call(tmp_path)
