@@ -110,8 +110,11 @@ def _csv_cell(x) -> str:
     return str(x)
 
 
-def _temperature(beta: float, k: float) -> float | None:
-    return None if beta == 0.0 else 1.0 / (k * beta)
+def _inverse(x: float, k: float) -> float | None:
+    """1/(k x), a temperature from beta or a beta from a temperature: None at
+    x = 0, and +-inf where k x rounds to 0 (its true value is out of range)."""
+    kx = k * x
+    return None if x == 0.0 else (1.0 / kx if kx else math.copysign(math.inf, x))
 
 
 def _entropy_head(spec: SystemSpec, log_prior) -> float:
@@ -152,10 +155,10 @@ def cmd_sweep(args, out) -> int:
     k_n = spec.boltzmann_k * spec.particles
     rows = []
     for g in grid:
-        beta = 1.0 / (spec.boltzmann_k * g) if temperature else g
+        beta = _inverse(g, spec.boltzmann_k) if temperature else g
         p, log_z, mean, entropy = _summaries(*arrays, beta)
         s_equil = k_n * (head + beta * mean + log_z)
-        rows.append([beta, _temperature(beta, spec.boltzmann_k), log_z, mean,
+        rows.append([beta, _inverse(beta, spec.boltzmann_k), log_z, mean,
                      k_n * entropy, s_equil, kl_divergence(p, spec.prior)])
     _emit_rows(args.format, header, rows, out)
     return EXIT_OK
@@ -165,7 +168,7 @@ def cmd_solve(args, out) -> int:
     from .equilibrium import solve_beta
     spec = load_spec(args.spec)
     sol = solve_beta(spec.spectrum, spec.prior, args.target_energy)
-    temp = _temperature(sol.beta, spec.boltzmann_k)
+    temp = _inverse(sol.beta, spec.boltzmann_k)
     _emit_levels(args.format, spec, sol,
                  ["beta", "temperature", "mean_energy", "log_partition"],
                  [sol.beta, temp, sol.mean_energy, sol.log_partition], out)

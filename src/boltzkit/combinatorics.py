@@ -8,8 +8,10 @@ route so asymptotic formulas can be checked against exact arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterator, Sequence
 
 from .core import Macrostate, ProbabilityVector, _same_length, _size
@@ -34,29 +36,24 @@ def statistical_weight(m: Macrostate) -> StatWeight:
     return StatWeight(_exact_weight(m.occupations), _log_weight(m.occupations))
 
 
-# W = N!/prod(N_i!) exactly and as ln W. A single weight calls math.factorial
-# and math.lgamma; a composition-set scan reads both from per-set tables.
-
 def _log_factorial(x: int) -> float:
     return math.lgamma(x + 1)
 
 
-def _exact_weight(occ: Sequence[int], factorial=math.factorial) -> int:
-    w = factorial(sum(occ))
+def _exact_weight(occ: Sequence[int]) -> int:
+    w = math.factorial(sum(occ))
     for x in occ:
-        w //= factorial(x)
+        w //= math.factorial(x)
     return w
 
 
-def _log_weight(occ: Sequence[int], log_factorial=_log_factorial) -> float:
-    return log_factorial(sum(occ)) - math.fsum(map(log_factorial, occ))
+def _log_weight(occ: Sequence[int]) -> float:
+    return _log_factorial(sum(occ)) - math.fsum(map(_log_factorial, occ))
 
 
-def _log_probability(
-    occ: Sequence[int], log_prior: Sequence[float], log_factorial=_log_factorial
-) -> float:
+def _log_probability(occ: Sequence[int], log_prior: Sequence[float]) -> float:
     """ln(W prod(prior_i ** N_i)) from ln prior_i, -inf where prior_i <= 0."""
-    log_p = _log_weight(occ, log_factorial)
+    log_p = _log_weight(occ)
     for count, lq in zip(occ, log_prior):
         if count:
             if lq == -math.inf:
@@ -142,21 +139,53 @@ def enumerate_compositions(total: int, parts: int) -> CompositionSet:
     return CompositionSet(total=total, parts=parts)
 
 
-def _exact_weights(comps: CompositionSet) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(composition, W) over a capped set, dividing factorials from a table."""
-    factorial = [math.factorial(x) for x in range(comps.total + 1)].__getitem__
-    for occ in comps.iter_tuples():
-        yield occ, _exact_weight(occ, factorial)
+def _terms(
+    comps: CompositionSet, a: Sequence, log: bool = False
+) -> Iterator[tuple[tuple[int, ...], int | float]]:
+    """(composition, W prod(a_i ** N_i)) for each member of
+    ``comps.iter_tuples()``, in its order: a big integer for integer a_i.
+    With ``log`` the a_i are ln a_i (-inf for a_i = 0) and each value is ln
+    of the term. Every member gets its own term, whatever the order.
 
+    A term is prod_i C(r_i, N_i) a_i ** N_i, r_i being the particles left for
+    levels i.., so it is the factor of its head (all but the last two levels)
+    times T[r][x] = C(r, x) a[-2] ** x a[-1] ** (r - x), with x = N[-2] and r
+    the particles the head leaves. Each row T[r] is built once per set (per
+    head, for up to three levels, where no row recurs), and a head's factor
+    once per run of members that share it: in lexicographic order, once per
+    head.
+    """
+    total = comps.total
+    if log:
+        log_factorial = [_log_factorial(x) for x in range(total + 1)]
+        unit, times = 0.0, operator.add
 
-def _log_probabilities(
-    comps: CompositionSet, prior: Sequence[float]
-) -> Iterator[tuple[tuple[int, ...], float]]:
-    """(composition, ln P) over a capped set, equal to log_macrostate_probability."""
-    log_factorial = [_log_factorial(x) for x in range(comps.total + 1)].__getitem__
-    log_prior = _log_priors(prior)
-    for occ in comps.iter_tuples():
-        yield occ, _log_probability(occ, log_prior, log_factorial)
+        def choose(r, x):
+            return log_factorial[r] - log_factorial[x] - log_factorial[r - x]
+
+        def power(la, x):  # x * ln 0 would be nan at x = 0
+            return x * la if x else 0.0
+    else:
+        unit, times, choose, power = 1, operator.mul, math.comb, pow
+    if comps.parts == 1:
+        for occ in comps.iter_tuples():
+            yield occ, power(a[0], occ[0])
+        return
+    *lead, before, last = a
+    keep, rows = comps.parts > 3, {}  # no row recurs under a one-level head
+    for head, run in groupby(comps.iter_tuples(), operator.itemgetter(slice(0, -2))):
+        factor, r = unit, total
+        for ai, x in zip(lead, head):
+            factor = times(factor, times(choose(r, x), power(ai, x)))
+            r -= x
+        row = rows.get(r)
+        if row is None:
+            row = [times(choose(r, x), times(power(before, x), power(last, r - x)))
+                   for x in range(r + 1)]
+            if keep:
+                rows[r] = row
+        for occ in run:
+            yield occ, times(factor, row[occ[-2]])
 
 
 def log_macrostate_probability(
@@ -203,5 +232,5 @@ def weight_ratio_probability(m: Macrostate) -> float:
     """
     comps = CompositionSet(total=m.total, parts=len(m.occupations))
     comps.require_within_cap()
-    w_sum = sum(w for _, w in _exact_weights(comps))
+    w_sum = sum(w for _, w in _terms(comps, [1] * comps.parts))
     return float(Fraction(_exact_weight(m.occupations), w_sum))

@@ -90,7 +90,8 @@ def _count(n) -> int:
 
 def _size(n, what: str, least: int = 1) -> int:
     """A level, part or truncation count (or, with least=0, a composition's
-    total) as an int; a bool, a float or a value < least is refused."""
+    total or occupation) as an int; a bool, a float or a value < least is
+    refused."""
     size = _index(n, least)
     if size is None:
         raise InvalidCount(f"{what} {n!r} is not an integer >= {least}")
@@ -191,28 +192,18 @@ def uniform_prior(n: int) -> ProbabilityVector:
 
 @dataclass(frozen=True)
 class Macrostate:
-    """Occupation numbers [N_1..N_n]; ``total`` is their (checked) sum."""
+    """Occupation numbers [N_1..N_n]; ``total`` is their (checked) sum. Each
+    occupation, and a declared total, is a count >= 0 (``_size``)."""
 
     occupations: tuple[int, ...]
     total: int = field(default=-1)
 
     def __init__(self, occupations: Iterable[int], total: int | None = None):
-        values = []
-        for x in occupations:
-            try:
-                integral = not isinstance(x, bool) and int(x) == x
-            except (TypeError, ValueError, OverflowError):
-                integral = False
-            if not integral:
-                raise ValidationError(f"occupation {x!r} is not an integer")
-            if x < 0:
-                raise ValidationError(f"occupation {x!r} is negative")
-            values.append(int(x))
-        values = tuple(values)
+        values = tuple(_size(x, "occupation", 0) for x in occupations)
         if len(values) == 0:
             raise ZeroLevels("macrostate needs at least one level")
         s = sum(values)
-        if total is not None and total != s:
+        if total is not None and _size(total, "declared total", 0) != s:
             raise ValidationError(f"declared total {total} != sum {s}")
         object.__setattr__(self, "occupations", values)
         object.__setattr__(self, "total", s)

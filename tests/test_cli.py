@@ -224,6 +224,21 @@ class TestSweep:
         assert float(body[0][0]) == pytest.approx(2.0)  # beta = 1/(k T)
         assert float(body[1][0]) == pytest.approx(0.5)
 
+    def test_k_times_beta_rounding_to_zero(self, tmp_path):
+        """1/(k x) where k x rounds to 0 is beyond float range: a temperature
+        column of inf, and a beta of inf, which the kernel refuses."""
+        path = tmp_path / "half_k.json"
+        path.write_text('{"levels": [0, 1], "priors": [0.5, 0.5], "N": 2, "k": 0.5}')
+        code, out = run_main("sweep", "--spec", str(path), "--from", "0",
+                             "--to", "1e-323", "--points", "3")
+        assert code == 0
+        _, body = parse_csv(out.encode())
+        assert [row[1] for row in body] == ["", "inf", "inf"]
+        code, out = run_main("sweep", "--spec", str(path), "--variable",
+                             "temperature", "--from", "5e-324", "--to", "1",
+                             "--points", "3")
+        assert (code, out) == (2, "")
+
     def test_byte_identical_reruns(self, uniform_spec):
         args = ("sweep", "--spec", uniform_spec, "--from", "-2", "--to", "2",
                 "--points", "17")

@@ -237,6 +237,22 @@ class TestMacrostate:
         with pytest.raises(ValidationError):
             Macrostate([bad])
 
+    @pytest.mark.parametrize(
+        "occupations, total",
+        [([1.0, 2.0], None), ([np.float64(2), 1], None), ([1, 2], 3.0),
+         ([1, -1], None), ([True, 1], None), ([1, 2], True)],
+        ids=["floats", "numpy-float", "float-total", "negative", "bool",
+             "bool-total"],
+    )
+    def test_occupations_and_total_follow_the_count_rule(self, occupations, total):
+        with pytest.raises(InvalidCount, match="is not an integer >= 0"):
+            Macrostate(occupations, total=total)
+
+    def test_integer_types_are_stored_as_ints(self):
+        m = Macrostate([np.int64(2), 1], total=np.int64(3))
+        assert m.occupations == (2, 1) and m.total == 3
+        assert all(type(x) is int for x in m.occupations)
+
 
 class TestUniformPrior:
     @pytest.mark.parametrize(

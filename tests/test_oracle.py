@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,10 +24,7 @@ from boltzkit import (
     uniform_prior,
 )
 from boltzkit import combinatorics
-from boltzkit.combinatorics import (
-    log_macrostate_probability,
-    macrostate_probability_exact,
-)
+from boltzkit.combinatorics import macrostate_probability_exact
 from boltzkit.equilibrium import generalized_distribution
 from boltzkit.errors import SizeGuardExceeded, SupportViolation, ValidationError
 from boltzkit.oracle import _exact_report, format_fraction
@@ -219,9 +217,9 @@ class TestMostProbableState:
     )
     def test_matches_brute_force_reference(self, levels, priors):
         """Same argmax and distance as scoring every occupation vector,
-        enumerated independently, with a validated Macrostate and
-        log_macrostate_probability; the first vector in lexicographic order
-        wins ties."""
+        enumerated independently, with a validated Macrostate and the exact
+        rational probability under the float distribution; the first vector
+        in lexicographic order wins ties."""
         for total in range(1, 13):
             spec = SystemSpec(
                 spectrum=EnergySpectrum(levels),
@@ -232,18 +230,70 @@ class TestMostProbableState:
                 p = generalized_distribution(
                     spec.spectrum, spec.prior, beta
                 ).distribution
-                best, best_log = None, -math.inf
+                exact_p = [Fraction(q) for q in p.entries]
+                best, best_p = None, Fraction(-1)
                 for occ in itertools.product(range(total + 1), repeat=len(levels)):
                     if sum(occ) != total:
                         continue
-                    lp = log_macrostate_probability(Macrostate(occ), p)
-                    if lp > best_log:
-                        best, best_log = occ, lp
+                    prob = macrostate_probability_exact(Macrostate(occ), exact_p)
+                    if prob > best_p:
+                        best, best_p = occ, prob
                 distance = max(abs(x / total - q) for x, q in zip(best, p.entries))
                 report = check_most_probable_state(spec, beta)
                 assert report.exact_value == str(list(best))
                 assert report.approx_value == distance
                 assert report.passed
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_uniform_prior_tie_goes_to_the_first_composition(self, n):
+        """With every level equally likely, each permutation of the balanced
+        occupation is an exact tie; the first in lexicographic order, the
+        smaller counts first, wins whatever the order of the float sums."""
+        for total in range(1, 25):
+            spec = SystemSpec(
+                spectrum=EnergySpectrum([0.0] * n),
+                prior=uniform_prior(n),
+                particles=total,
+            )
+            q, rem = divmod(total, n)
+            report = check_most_probable_state(spec, 0.0)
+            assert report.exact_value == str([q] * (n - rem) + [q + 1] * rem)
+
+    def test_zero_probability_compositions_are_not_kept(self):
+        """Only level 0 has mass: every composition but the last, [N, 0, ...],
+        scores -inf, and the scan keeps none of them (10,626 here)."""
+        spec = SystemSpec(
+            spectrum=EnergySpectrum([0.0, 1.0, 2.0, 3.0, 4.0]),
+            prior=ProbabilityVector([1.0, 0.0, 0.0, 0.0, 0.0]),
+            particles=20,
+        )
+        for beta in (0.0, 1.0):
+            tracemalloc.start()
+            try:
+                report = check_most_probable_state(spec, beta)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.exact_value == "[20, 0, 0, 0, 0]"
+            assert report.passed
+            assert peak < 200_000  # keeping them all takes about 1.7 MB
+
+    @pytest.mark.parametrize(
+        "priors, beta, argmax",
+        [([0.5, 0.5], 1.0, (8, 2)), ([0.25, 0.75], 0.0, (3, 8))],
+    )
+    def test_dropping_the_argmax_fails(self, monkeypatch, priors, beta, argmax):
+        """The scan sees every composition: without the argmax another
+        composition is reported."""
+        total = sum(argmax)
+        spec = two_level_spec(priors, total)
+        assert check_most_probable_state(spec, beta).exact_value == str(list(argmax))
+        walk = combinatorics._compositions
+        monkeypatch.setattr(
+            combinatorics, "_compositions",
+            lambda total, parts: (occ for occ in walk(total, parts) if occ != argmax),
+        )
+        assert check_most_probable_state(spec, beta).exact_value != str(list(argmax))
 
 
 class TestEinsteinConvergence:
