@@ -15,7 +15,7 @@ from itertools import groupby
 from typing import Iterator, Sequence
 
 from .core import Macrostate, ProbabilityVector, _same_length, _size
-from .errors import SizeGuardExceeded
+from .errors import ValidationError
 
 #: The one cap on exact enumeration and eager materialization of a set.
 DEFAULT_SIZE_CAP = 10_000_000
@@ -103,7 +103,7 @@ class CompositionSet:
 
     def require_within_cap(self) -> None:
         if self.cardinality > DEFAULT_SIZE_CAP:
-            raise SizeGuardExceeded(
+            raise ValidationError(
                 f"{self.cardinality} compositions exceed the cap {DEFAULT_SIZE_CAP}"
             )
 

@@ -22,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EnergySpectrum, ProbabilityVector, _boltzmann_k, _count, _same_length
-from .errors import (
-    DegeneratePrior,
-    NoVariation,
-    NumericError,
-    TargetOutOfRange,
-    ValidationError,
-    ZeroPriorEntry,
-)
+from .errors import InfeasibleError, NumericError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -81,7 +74,7 @@ def _exponential_family(
     total = float(np.sum(w))
     log_partition = shift + math.log(total) - beta * anchor
     if not math.isfinite(log_partition):
-        raise DegeneratePrior(
+        raise NumericError(
             f"ln Z_w = {log_partition} at beta={beta}: the prior-weighted "
             "partition sum is beyond float range"
         )
@@ -119,7 +112,8 @@ def generalized_distribution(
     return _solution(spectrum, prior, beta)
 
 
-#: Relative (to the supported energy range) tolerance on the solved energy.
+#: Tolerance on the solved mean energy, relative to the target's distance
+#: from the nearer end of the supported range.
 ENERGY_TOL_FACTOR = 1e-10
 
 _MAX_STEPS = 200
@@ -147,7 +141,9 @@ def solve_beta(
     bit. Newton's method on the log-odds of <u> finds the minimum of the
     convex dual ln Z_w(t) + t u_target, to full precision. A step that
     leaves the known bracket bisects it; one past float range first tries
-    the largest float, and a beta beyond float range is a NumericError.
+    the largest float, and a beta beyond float range is a NumericError, as
+    is a mean that misses the target by more than ``ENERGY_TOL_FACTOR`` of
+    its distance from the nearer end of the range.
     """
     if not math.isfinite(target_mean_energy):
         raise ValidationError(f"target {target_mean_energy!r} must be finite")
@@ -160,12 +156,12 @@ def solve_beta(
         scale = max(1.0, abs(e_min))
         if abs(target_mean_energy - e_min) <= 1e-12 * scale:
             return generalized_distribution(spectrum, prior, 0.0)
-        raise NoVariation(
+        raise InfeasibleError(
             f"all supported levels have energy {e_min}; "
             f"target {target_mean_energy} is unreachable"
         )
     if not (e_min < target_mean_energy < e_max):
-        raise TargetOutOfRange(
+        raise InfeasibleError(
             f"target {target_mean_energy} outside the open interval "
             f"({e_min}, {e_max}) of attainable mean energies"
         )
@@ -190,7 +186,7 @@ def solve_beta(
         if t == 0.0 and odds < 0.0:  # the root is at t < 0: from here on solve
             # the mirror image, whose u is rest; p at t = 0 is the same in both
             sign, u, rest, mean, mean_rest = -1.0, rest, u, mean_rest, mean
-            goal, goal_odds, odds = goal_rest, -goal_odds, -odds
+            goal, goal_rest, goal_odds, odds = goal_rest, goal, -goal_odds, -odds
         variance = float(np.dot(p, (u - mean) ** 2))
         if variance > 2.0 * mean * mean_rest:  # past <u><1-u>: <u> rounded near 1
             variance = float(np.dot(p, (rest - mean_rest) ** 2))  # = Var(u)
@@ -229,8 +225,11 @@ def solve_beta(
         raise NumericError(
             f"target {target_mean_energy!r} needs a beta beyond float range"
         )
-    if abs(mean - goal) > ENERGY_TOL_FACTOR:
-        missed = target_mean_energy + sign * (mean - goal) * span
+    # relative to the target's distance from the nearer end, on that end's
+    # side: mean and mean_rest are both computed directly, with no 1 - x
+    error = mean - goal if goal <= goal_rest else goal_rest - mean_rest
+    if abs(error) > ENERGY_TOL_FACTOR * min(goal, goal_rest):
+        missed = target_mean_energy + sign * error * span
         raise NumericError(
             f"solver stalled: mean {missed!r} misses target {target_mean_energy!r}"
         )
@@ -240,7 +239,7 @@ def solve_beta(
 def _prior_entropy(prior: ProbabilityVector, log_prior: np.ndarray) -> float:
     """H(prior) = -sum(p0 ln p0), the unequal-priors form's beta-free term."""
     if not (prior._array > 0.0).all():
-        raise ZeroPriorEntry("formula requires strictly positive priors")
+        raise ValidationError("formula requires strictly positive priors")
     return -math.fsum((prior._array * log_prior).tolist())
 
 

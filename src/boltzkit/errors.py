@@ -3,6 +3,10 @@
 Three broad families matter to callers (and fix the CLI exit codes):
 ``ValidationError`` for malformed input, ``NumericError`` for numeric
 breakdown, ``InfeasibleError`` for well-formed but unsatisfiable requests.
+
+The rule: each subclass below the families names one input rule and is
+raised only in ``core``, which checks that rule; every other module raises
+a family, with a message that tells its cases apart.
 """
 
 
@@ -22,7 +26,7 @@ class InfeasibleError(BoltzkitError):
     """The request is well-formed but has no solution."""
 
 
-# -- validation ------------------------------------------------------------
+# -- core's input rules ----------------------------------------------------
 
 class LengthMismatch(ValidationError):
     """Priors and energy levels have different lengths."""
@@ -57,51 +61,3 @@ class InvalidCount(ZeroLevels):
     empty-sequence checks that raise ZeroLevels itself.
     """
 
-
-class SupportViolation(ValidationError):
-    """Mass sits where the reference distribution has none."""
-
-
-class MeanSumMismatch(ValidationError):
-    """Mean occupations do not sum to the particle count."""
-
-
-class KMismatch(ValidationError):
-    """Entropies measured with different Boltzmann constants."""
-
-
-class ExceedsReference(ValidationError):
-    """Entropy exceeds its reference maximum beyond tolerance."""
-
-
-class ZeroPriorEntry(ValidationError):
-    """Operation requires strictly positive priors."""
-
-
-class NonPositiveBeta(ValidationError):
-    """Inverse temperature must be positive here."""
-
-
-class SizeGuardExceeded(ValidationError):
-    """Requested enumeration is larger than ``DEFAULT_SIZE_CAP``."""
-
-
-# -- numeric ---------------------------------------------------------------
-
-class DegeneratePrior(NumericError):
-    """ln Z_w, the log of the prior-weighted partition sum, is beyond float
-    range (levels [1e308, 1e308] at beta = 10 give ln Z_w = -1e309)."""
-
-
-class TruncationInsufficient(NumericError):
-    """Series truncation cannot reach the requested tolerance."""
-
-
-# -- infeasible ------------------------------------------------------------
-
-class TargetOutOfRange(InfeasibleError):
-    """Target mean energy lies outside the attainable open interval."""
-
-
-class NoVariation(InfeasibleError):
-    """All supported levels share one energy; only that energy is attainable."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import EnergySpectrum, ProbabilityVector, _size, uniform_prior
-from .errors import NonPositiveBeta, TruncationInsufficient, ValidationError
+from .errors import NumericError, ValidationError
 
 
 class Dimensionality(Enum):
@@ -45,7 +45,7 @@ class OscillatorModel:
 def mean_energy_closed(model: OscillatorModel, beta: float) -> float:
     """Closed-form mean energy per oscillator at inverse temperature beta."""
     if not (beta > 0.0):
-        raise NonPositiveBeta(f"beta {beta!r} must be positive")
+        raise ValidationError(f"beta {beta!r} must be positive")
     x = beta * model.h_nu
     linear = model.dimensionality is Dimensionality.LINEAR_1D
     ground, modes = (0.5, 1.0) if linear else (1.0, 2.0)
@@ -92,11 +92,11 @@ def mean_energy_series(
     a, b, |(A+a)/(B+b) - A/B| <= (a + b A/B)/B.
 
     When ``tol`` is given and the bound exceeds it, raises
-    ``TruncationInsufficient`` instead of returning a value the caller
+    ``NumericError`` instead of returning a value the caller
     would have to distrust.
     """
     if not (beta > 0.0):
-        raise NonPositiveBeta(f"beta {beta!r} must be positive")
+        raise ValidationError(f"beta {beta!r} must be positive")
     L = model.truncation
     x = math.exp(-beta * model.h_nu)
     y = -math.expm1(-beta * model.h_nu)  # 1 - x, > 0 even where x rounds to 1
@@ -118,7 +118,7 @@ def mean_energy_series(
     ratio = num / den
     tail_bound = model.h_nu * (tail_e + tail_z * ratio) / den
     if tol is not None and tail_bound > tol:
-        raise TruncationInsufficient(
+        raise NumericError(
             f"tail bound {tail_bound:.3e} exceeds requested tolerance "
             f"{tol:.3e} at truncation {L}"
         )
@@ -139,7 +139,7 @@ def auto_truncation(
         if bound <= tol:
             return candidate
         if L >= max_levels:
-            raise TruncationInsufficient(
+            raise NumericError(
                 f"tail bound {bound:.3e} > {tol:.3e} at the cap {max_levels}"
             )
         L = min(2 * L, max_levels)

@@ -570,3 +570,38 @@ class TestArbitraryInput:
             assert out == ""
         elif fmt == "json":
             strict_json(out)
+
+
+class TestFamilyErrors:
+    """An error of each family ends in its exit code and one error line on
+    stderr, whose message tells the case apart."""
+
+    @pytest.mark.parametrize("spec, args, code, message", [
+        (SPEC_UNIFORM, ("solve", "--target-energy", "1.5"), 4,
+         "target 1.5 outside the open interval (0.0, 1.0) of attainable mean energies"),
+        (SPEC_FLAT, ("solve", "--target-energy", "1.2"), 4,
+         "all supported levels have energy 1.0; target 1.2 is unreachable"),
+        ('{"levels": [1e308, 1e308], "priors": [0.5, 0.5], "N": 1}',
+         ("distribution", "--beta", "10"), 3,
+         "ln Z_w = -inf at beta=10.0: the prior-weighted partition sum is beyond "
+         "float range"),
+        (None, ("oscillator", "--dim", "1d", "--from", "0", "--to", "1",
+                "--points", "2"), 2, "beta 0.0 must be positive"),
+        # <u> ends 4e-9 relative from 1e-300, beyond 1e-10 of its distance
+        # from the nearer end of the range
+        ('{"levels": [0, 1e-310, 1e-40, 1], "priors": [0.5, 0.5, 5e-251, 5e-301], '
+         '"N": 1}', ("solve", "--target-energy=1e-300"), 3,
+         "solver stalled: mean 1.0000000041400388e-300 misses target 1e-300"),
+        ('{"levels": [0, -1e-310, -1e-40, -1], "priors": [0.5, 0.5, 5e-251, 5e-301], '
+         '"N": 1}', ("solve", "--target-energy=-1e-300"), 3,
+         "solver stalled: mean -1.0000000041400388e-300 misses target -1e-300"),
+    ], ids=["out-of-range", "one-energy-support", "log-partition", "oscillator-beta",
+            "stalled", "stalled-mirror"])
+    def test_exit_code_and_error_line(self, tmp_path, spec, args, code, message):
+        if spec is not None:
+            path = tmp_path / "spec.json"
+            path.write_text(spec)
+            args = (args[0], "--spec", str(path), *args[1:])
+        err = io.StringIO()
+        assert run_main(*args, stderr=err) == (code, "")
+        assert err.getvalue() == f"boltzkit {cli.__version__}\nerror: {message}\n"

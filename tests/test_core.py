@@ -375,11 +375,10 @@ def _n_routes():
 def _k_routes():
     """Every entry point that takes Boltzmann's constant, as k -> call."""
     from boltzkit import (EntropyValue, boltzmann_shannon_entropy,
-                          check_einstein_convergence, equilibrium_entropy_prior,
-                          equilibrium_entropy_uniform, exact_boltzmann_entropy,
-                          kl_cross_entropy, negentropy_relation,
-                          occupation_cross_entropy, shannon_entropy,
-                          stirling_entropy)
+                          equilibrium_entropy_prior, equilibrium_entropy_uniform,
+                          exact_boltzmann_entropy, kl_cross_entropy,
+                          negentropy_relation, occupation_cross_entropy,
+                          shannon_entropy, stirling_entropy)
     state = Macrostate([1, 2])
     return {
         "EntropyValue": lambda k: EntropyValue(0.5, k),
@@ -396,7 +395,6 @@ def _k_routes():
         "kl_cross_entropy": lambda k: kl_cross_entropy(HALVES, HALVES, k),
         "entropy_uniform": lambda k: equilibrium_entropy_uniform(TWO, 1.0, 1, k),
         "entropy_prior": lambda k: equilibrium_entropy_prior(TWO, HALVES, 1.0, 1, k),
-        "einstein": lambda k: check_einstein_convergence(HALVES, HALVES, (4,), k),
     }
 
 

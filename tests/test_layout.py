@@ -2,7 +2,8 @@
 
 Each input rule has one owner: the length, particle-count and level-count
 errors are raised only in ``core``. The exact-enumeration cap is one constant, not a
-parameter, and ``core`` imports nothing that loads numpy.
+parameter, and ``core`` imports nothing that loads numpy. Every error class
+below the families names a rule of ``core``; other modules raise a family.
 """
 
 import ast
@@ -30,6 +31,19 @@ def _raised(tree: ast.AST, name: str) -> int:
 def test_rule_errors_are_raised_once_in_core(error):
     assert {module: _raised(tree, error) for module, tree in TREES.items()
             if _raised(tree, error)} == {"core": 1}
+
+
+FAMILIES = {"BoltzkitError", "ValidationError", "NumericError", "InfeasibleError"}
+
+
+def test_rule_classes_are_raised_in_core_and_families_elsewhere():
+    defined = {node.name for node in TREES["errors"].body
+               if isinstance(node, ast.ClassDef)}
+    rules = defined - FAMILIES
+    assert FAMILIES <= defined
+    assert {name for name in rules if _raised(TREES["core"], name)} == rules
+    assert [f"{module}: {name}" for module, tree in TREES.items() if module != "core"
+            for name in sorted(rules) if _raised(tree, name)] == []
 
 
 def test_no_cap_or_digits_parameter():
