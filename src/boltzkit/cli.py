@@ -230,47 +230,40 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--points", type=int, required=True)
         p.add_argument("--spacing", choices=("linear", "log"), default="linear")
 
-    p_dist = sub.add_parser(
-        "distribution", help="per-level equilibrium distribution at one beta"
-    )
-    p_dist.add_argument("--spec", required=True)
+    def command(name, func, summary, spec=True):
+        p = sub.add_parser(name, help=summary)
+        if spec:
+            p.add_argument("--spec", required=True)
+        p.set_defaults(func=func)
+        return p
+
+    p_dist = command("distribution", cmd_distribution,
+                     "per-level equilibrium distribution at one beta")
     p_dist.add_argument("--beta", type=float, required=True)
     add_format(p_dist)
-    p_dist.set_defaults(func=cmd_distribution)
 
-    p_sweep = sub.add_parser("sweep", help="grid of equilibrium summaries")
-    p_sweep.add_argument("--spec", required=True)
+    p_sweep = command("sweep", cmd_sweep, "grid of equilibrium summaries")
     p_sweep.add_argument("--variable", choices=("beta", "temperature"),
                          default="beta")
     add_grid(p_sweep)
     add_format(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_solve = sub.add_parser(
-        "solve", help="invert the mean-energy constraint for beta"
-    )
-    p_solve.add_argument("--spec", required=True)
+    p_solve = command("solve", cmd_solve, "invert the mean-energy constraint for beta")
     p_solve.add_argument("--target-energy", type=float, required=True)
     add_format(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
 
-    p_verify = sub.add_parser(
-        "verify", help="run the exact-enumeration oracle suite"
-    )
-    p_verify.add_argument("--scale", choices=("quick", "full"),
-                          default="quick")
+    p_verify = command("verify", cmd_verify, "run the exact-enumeration oracle suite",
+                       spec=False)
+    p_verify.add_argument("--scale", choices=("quick", "full"), default="quick")
     add_format(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_osc = sub.add_parser(
-        "oscillator", help="closed-form vs series oscillator energies"
-    )
+    p_osc = command("oscillator", cmd_oscillator,
+                    "closed-form vs series oscillator energies", spec=False)
     p_osc.add_argument("--dim", choices=("1d", "2d"), required=True)
     p_osc.add_argument("--h-nu", dest="h_nu", type=float, default=1.0)
     p_osc.add_argument("--levels", type=int, default=256)
     add_grid(p_osc)
     add_format(p_osc)
-    p_osc.set_defaults(func=cmd_oscillator)
 
     return parser
 

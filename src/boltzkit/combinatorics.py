@@ -11,7 +11,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from typing import Iterator, Sequence
 
 from .core import Macrostate, ProbabilityVector, _same_length, _size
@@ -108,30 +107,36 @@ class CompositionSet:
             )
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Lexicographic successor walk over one mutable occupation list."""
+def _runs(total: int, parts: int) -> Iterator[tuple[tuple[int, ...], int, range]]:
+    """The one walk of a composition set: runs (head, r, xs) in lexicographic
+    order, each standing for the members head + (x, r - x), x in xs =
+    range(r + 1), where ``head`` is all but the last two levels and r the
+    particles it leaves. A one-level set's one run, ((), total, range(total,
+    total + 1)), ends in an empty phantom level."""
     if parts == 1:
-        yield (total,)
+        yield (), total, range(total, total + 1)
         return
-    occ = [0] * parts
-    occ[-1] = total
+    head, r = [0] * (parts - 2), total  # one mutable list
     while True:
-        yield tuple(occ)
-        last = occ[-1]
-        if last:  # move one particle from the last level to its neighbour
-            occ[-2] += 1
-            occ[-1] = last - 1
+        yield tuple(head), r, range(r + 1)
+        k = parts - 3
+        if r and k >= 0:  # one more particle on the last head level
+            head[k], r = head[k] + 1, r - 1
             continue
-        # the last level is empty: move one particle of the rightmost
-        # occupied level k one level left, and the rest to the last level
-        k = parts - 2
-        while k and not occ[k]:
+        # else one particle of the rightmost occupied head level k goes left
+        while k > 0 and not head[k]:
             k -= 1
-        if not k:  # (total, 0, ..., 0): the walk is complete
+        if k <= 0:  # (total, 0, ..., 0) or no head: the walk is complete
             return
-        occ[k - 1] += 1
-        occ[-1] = occ[k] - 1
-        occ[k] = 0
+        head[k - 1] += 1
+        head[k], r = 0, head[k] - 1
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The members of ``_runs(total, parts)``, run by run."""
+    if parts == 1:  # without the phantom level
+        return ((x,) for _, _, xs in _runs(total, 1) for x in xs)
+    return ((*head, x, r - x) for head, r, xs in _runs(total, parts) for x in xs)
 
 
 def enumerate_compositions(total: int, parts: int) -> CompositionSet:
@@ -141,51 +146,43 @@ def enumerate_compositions(total: int, parts: int) -> CompositionSet:
 
 def _terms(
     comps: CompositionSet, a: Sequence, log: bool = False
-) -> Iterator[tuple[tuple[int, ...], int | float]]:
-    """(composition, W prod(a_i ** N_i)) for each member of
-    ``comps.iter_tuples()``, in its order: a big integer for integer a_i.
-    With ``log`` the a_i are ln a_i (-inf for a_i = 0) and each value is ln
-    of the term. Every member gets its own term, whatever the order.
+) -> Iterator[tuple[tuple[int, ...], int, range, int | float, list]]:
+    """(head, r, xs, factor, row) for each run of ``_runs``: member x's term
+    W prod(a_i ** N_i) is factor * row[x], a big integer for integer a_i.
+    With ``log`` the a_i are ln a_i (-inf for a_i = 0) and ln of the term is
+    factor + row[x]. The caller computes each member's term itself.
 
     A term is prod_i C(r_i, N_i) a_i ** N_i, r_i being the particles left for
-    levels i.., so it is the factor of its head (all but the last two levels)
-    times T[r][x] = C(r, x) a[-2] ** x a[-1] ** (r - x), with x = N[-2] and r
-    the particles the head leaves. Each row T[r] is built once per set (per
-    head, for up to three levels, where no row recurs), and a head's factor
-    once per run of members that share it: in lexicographic order, once per
-    head.
-    """
-    total = comps.total
+    levels i.., so ``factor`` is the head's part and row[x] = C(r, x)
+    a[-2] ** x a[-1] ** (r - x), built once per set (per run, for up to
+    three levels, where no row recurs)."""
+    total, parts = comps.total, comps.parts
     if log:
         log_factorial = [_log_factorial(x) for x in range(total + 1)]
         unit, times = 0.0, operator.add
+        # x * ln 0 would be nan at x = 0
+        powers = [[x * la if x else 0.0 for x in range(total + 1)] for la in a]
 
         def choose(r, x):
             return log_factorial[r] - log_factorial[x] - log_factorial[r - x]
-
-        def power(la, x):  # x * ln 0 would be nan at x = 0
-            return x * la if x else 0.0
     else:
-        unit, times, choose, power = 1, operator.mul, math.comb, pow
-    if comps.parts == 1:
-        for occ in comps.iter_tuples():
-            yield occ, power(a[0], occ[0])
-        return
-    *lead, before, last = a
-    keep, rows = comps.parts > 3, {}  # no row recurs under a one-level head
-    for head, run in groupby(comps.iter_tuples(), operator.itemgetter(slice(0, -2))):
-        factor, r = unit, total
-        for ai, x in zip(lead, head):
-            factor = times(factor, times(choose(r, x), power(ai, x)))
-            r -= x
+        unit, times, choose = 1, operator.mul, math.comb
+        powers = [[ai**x for x in range(total + 1)] for ai in a]
+    # a one-level set's phantom last level holds no particle: any a_i will do
+    *lead, before, last = powers if parts > 1 else powers * 2
+    keep, rows = parts > 3, {}  # no row recurs under a one-level head
+    for head, r, xs in _runs(total, parts):
+        factor, left = unit, total
+        for level, x in zip(lead, head):
+            factor = times(factor, times(choose(left, x), level[x]))
+            left -= x
         row = rows.get(r)
         if row is None:
-            row = [times(choose(r, x), times(power(before, x), power(last, r - x)))
+            row = [times(choose(r, x), times(before[x], last[r - x]))
                    for x in range(r + 1)]
             if keep:
                 rows[r] = row
-        for occ in run:
-            yield occ, times(factor, row[occ[-2]])
+        yield head, r, xs, factor, row
 
 
 def log_macrostate_probability(
@@ -232,5 +229,6 @@ def weight_ratio_probability(m: Macrostate) -> float:
     """
     comps = CompositionSet(total=m.total, parts=len(m.occupations))
     comps.require_within_cap()
-    w_sum = sum(w for _, w in _terms(comps, [1] * comps.parts))
+    terms = _terms(comps, [1] * comps.parts)
+    w_sum = sum(factor * row[x] for _, _, xs, factor, row in terms for x in xs)
     return float(Fraction(_exact_weight(m.occupations), w_sum))

@@ -51,8 +51,7 @@ def _total(values: tuple[float, ...]) -> float:
 def _check_probabilities(values, known_nonnegative=False, tol=PROB_SUM_TOL) -> float:
     """The sum of the entries, after ProbabilityVector's checks. A caller that
     has seen every entry >= 0 (an array test) skips the per-entry one."""
-    if len(values) == 0:
-        raise ZeroLevels("probability vector needs at least one entry")
+    _some_levels(values, "probability vector needs at least one entry")
     if not known_nonnegative:
         for x in values:
             if not (x >= 0.0):  # catches negatives and NaN
@@ -61,6 +60,12 @@ def _check_probabilities(values, known_nonnegative=False, tol=PROB_SUM_TOL) -> f
     if abs(total - 1.0) > tol:
         raise PriorSumMismatch(f"probabilities sum to {total!r}, not 1 within {tol}")
     return total
+
+
+def _some_levels(values, message: str) -> None:
+    """The rule that a vector, spectrum or macrostate has an entry."""
+    if len(values) == 0:
+        raise ZeroLevels(message)
 
 
 def _same_length(size: int, levels: int, what: str) -> None:
@@ -137,8 +142,7 @@ class EnergySpectrum(_Floats):
 
     def __init__(self, levels: Iterable[float]):
         values = _reals(levels, "energy levels")
-        if len(values) == 0:
-            raise ZeroLevels("spectrum needs at least one energy level")
+        _some_levels(values, "spectrum needs at least one energy level")
         for x in values:
             if not math.isfinite(x):
                 raise NonFiniteEnergy(f"non-finite energy level {x!r}")
@@ -200,8 +204,7 @@ class Macrostate:
 
     def __init__(self, occupations: Iterable[int], total: int | None = None):
         values = tuple(_size(x, "occupation", 0) for x in occupations)
-        if len(values) == 0:
-            raise ZeroLevels("macrostate needs at least one level")
+        _some_levels(values, "macrostate needs at least one level")
         s = sum(values)
         if total is not None and _size(total, "declared total", 0) != s:
             raise ValidationError(f"declared total {total} != sum {s}")

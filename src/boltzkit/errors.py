@@ -54,10 +54,7 @@ class ZeroLevels(ValidationError):
 
 class InvalidCount(ZeroLevels):
     """A level, part or truncation count, or a composition's particle total,
-    is not an integer at or above its least value (1, or 0 for a total).
-
-    It is a ZeroLevels only because ``uniform_prior(0)`` has always raised
-    that; its own class gives the count rule one raise site, apart from the
-    empty-sequence checks that raise ZeroLevels itself.
+    is not an integer at or above its least value (1, or 0 for a total). It
+    is a ZeroLevels only because ``uniform_prior(0)`` has always raised that.
     """
 

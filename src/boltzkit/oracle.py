@@ -112,10 +112,11 @@ def check_normalization_and_means(
     occupation means equal N * prior, by full enumeration.
 
     With the priors over their common denominator D, q_i = a_i / D, each
-    composition adds its own integer term W * prod(a_i ** N_i), read from
-    ``combinatorics._terms``, to a sum that must come to D**N, and N_j times
-    it to one that must come to N q_j D**N. Only these totals become
-    fractions; the expected values are computed without enumerating.
+    composition's integer term t = W * prod(a_i ** N_i) is factor * row[x]
+    of its run from ``combinatorics._terms``. Every t adds to a sum that
+    must come to D**N, and N_j t to one that must come to N q_j D**N: per
+    run, head level j gets head[j] sum(t), the run's two levels sum(x t) and
+    r sum(t) - sum(x t). Only these totals become fractions.
 
     Floats are exact rationals, so the default path converts the stored
     prior exactly; pass ``exact_prior`` when the intended rational (say
@@ -132,12 +133,18 @@ def check_normalization_and_means(
     denominator = math.lcm(*(q.denominator for q in prior))
     a = [q.numerator * (denominator // q.denominator) for q in prior]
     total_t = 0
-    moments = [0] * n_levels
-    for occ, t in _terms(comps, a):
-        total_t += t
-        for j, x in enumerate(occ):
-            if x:
-                moments[j] += x * t
+    moments = [0] * max(n_levels, 2)  # zip with the priors drops a phantom level
+    for head, r, xs, factor, row in _terms(comps, a):
+        s = sx = 0
+        for x in xs:
+            t = factor * row[x]
+            s += t
+            sx += x * t
+        total_t += s
+        for j, count in enumerate(head):
+            moments[j] += count * s
+        moments[-2] += sx
+        moments[-1] += r * s - sx
     scale = denominator**total_n
 
     instance = f"N={total_n} n={n_levels} prior={[str(q) for q in prior]}"
@@ -146,8 +153,8 @@ def check_normalization_and_means(
                       actual=Fraction(total_t, scale))
     ] + [
         _exact_report(f"mean_occupation_level_{j + 1}", instance,
-                      expected=total_n * prior[j], actual=Fraction(moment, scale))
-        for j, moment in enumerate(moments)
+                      expected=total_n * q, actual=Fraction(moment, scale))
+        for j, (q, moment) in enumerate(zip(prior, moments))
     ]
 
 
@@ -196,8 +203,7 @@ def check_most_probable_state(spec: SystemSpec, beta: float) -> OracleReport:
     sums are ordered. It must sit within max-norm n/N of the continuous
     distribution. ``exact_value`` records the argmax vector.
     """
-    sol = generalized_distribution(spec.spectrum, spec.prior, beta)
-    p = sol.distribution
+    p = generalized_distribution(spec.spectrum, spec.prior, beta).distribution
     total_n = spec.particles
     n_levels = spec.spectrum.count
     comps = CompositionSet(total=total_n, parts=n_levels)
@@ -209,18 +215,18 @@ def check_most_probable_state(spec: SystemSpec, beta: float) -> OracleReport:
     scale = 1.0 + 2.0 * math.lgamma(total_n + 1)
     top = floor = -math.inf
     near: list[tuple[tuple[int, ...], float]] = []
-    for occ, lp in _terms(comps, _log_priors(p.entries), log=True):
-        if lp >= floor and lp > -math.inf:
-            if lp > top:
-                top, floor = lp, lp - 1e-9 * (scale + abs(lp))
-                near = [c for c in near if c[1] >= floor]
-            near.append((occ, lp))
+    for head, r, xs, factor, row in _terms(comps, _log_priors(p.entries), log=True):
+        for x in xs:
+            lp = factor + row[x]
+            if lp >= floor and lp > -math.inf:
+                if lp > top:
+                    top, floor = lp, lp - 1e-9 * (scale + abs(lp))
+                    near = [c for c in near if c[1] >= floor]
+                near.append(((*head, x, r - x)[:n_levels], lp))  # drop a phantom
     exact_p = [Fraction(q) for q in p.entries]
     best = max((occ for occ, _ in near), key=lambda occ: macrostate_probability_exact(
         Macrostate(occ), exact_p))
-    distance = max(
-        abs(x / total_n - q) for x, q in zip(best, p.entries)
-    )
+    distance = max(abs(x / total_n - q) for x, q in zip(best, p.entries))
     tol = n_levels / total_n
     return _report(
         "most_probable_state_near_distribution",
@@ -280,7 +286,8 @@ def check_weight_dominance(n: int, n_schedule: Sequence[int]) -> list[OracleRepo
     for total_n in map(_count, n_schedule):  # the ratio is per particle
         comps = CompositionSet(total=total_n, parts=n)
         if comps.cardinality <= EXACT_MODE_CAP and total_n <= EXACT_MODE_PARTICLE_CAP:
-            w_max = max(w for _, w in _terms(comps, [1] * n))
+            w_max = max(factor * row[x]
+                        for _, _, xs, factor, row in _terms(comps, [1] * n) for x in xs)
             log_w_max = math.log(w_max)
             exact = str(w_max)
         else:

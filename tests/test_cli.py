@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boltzkit import cli
+from boltzkit import cli, equilibrium
 
 SPEC_UNIFORM = '{"levels": [0.0, 1.0], "priors": [0.5, 0.5], "N": 10}'
 SPEC_WEIGHTED = '{"levels": [0.0, 1.0], "priors": [0.25, 0.75], "N": 4}'
@@ -328,6 +328,16 @@ class TestSolve:
         assert code == 0
         header, body = parse_csv(out.encode())
         assert {row[header.index("beta")] for row in body} == {"1.60003413346e+308"}
+
+    def test_step_budget_exhausted_exits_3(self, uniform_spec, monkeypatch):
+        """A solve that runs out of steps before it converges is a numeric
+        failure: one step does not reach beta = 1."""
+        monkeypatch.setattr(equilibrium, "_MAX_STEPS", 1)
+        err = io.StringIO()
+        assert run_main("solve", "--spec", uniform_spec, "--target-energy",
+                        "0.268941", stderr=err) == (3, "")
+        assert err.getvalue() == (f"boltzkit {cli.__version__}\n"
+                                  "error: solver did not converge in 1 steps\n")
 
     def test_degenerate_support_exits_4(self, tmp_path):
         path = tmp_path / "flat.json"

@@ -22,13 +22,13 @@ from boltzkit import (
     uniform_prior,
     weight_ratio_probability,
 )
-from boltzkit import combinatorics
 from boltzkit.combinatorics import (
     CompositionSet,
     _compositions,
     _exact_weight,
     _log_priors,
     _log_probability,
+    _runs,
     _terms,
     log_macrostate_probability,
 )
@@ -170,19 +170,17 @@ class TestWeightRatio:
         with pytest.raises(ValidationError, match="compositions exceed the cap"):
             weight_ratio_probability(Macrostate([100] * 5))
 
-    def test_dropping_any_one_composition_changes_the_ratio(self, monkeypatch):
-        """The weight sum sees every composition: without any one of them
-        the ratio is no longer W / n**N."""
+    def test_dropping_any_one_composition_changes_the_ratio(self, drop_members):
+        """The weight sum sees every composition: without any one of them,
+        missing from its run, the ratio is no longer W / n**N."""
         m = Macrostate([2, 3, 1])
         want = float(Fraction(brute_weight(m.occupations), 3**6))
         assert weight_ratio_probability(m) == want
         members = list(_compositions(6, 3))
-        for dropped in range(len(members)):
-            monkeypatch.setattr(
-                combinatorics, "_compositions",
-                lambda total, parts: iter(members[:dropped] + members[dropped + 1:]),
-            )
-            assert weight_ratio_probability(m) != want, members[dropped]
+        assert len(members) == 28
+        for member in members:
+            drop_members([member])
+            assert weight_ratio_probability(m) != want, member
 
 
 #: integer per-level weights a_i for the term scan, zeros included
@@ -190,7 +188,7 @@ TERM_WEIGHTS = [(1, 1, 1, 1, 1), (3, 0, 2, 1, 5), (0, 4, 1, 0, 2), (7, 2, 0, 0, 
 
 
 class TestTerms:
-    """The per-prefix scan against the per-composition formulas."""
+    """The per-run terms against the per-composition formulas."""
 
     @pytest.mark.parametrize("parts", range(1, 6))
     @pytest.mark.parametrize("total", range(0, 11))
@@ -199,22 +197,29 @@ class TestTerms:
         walk = list(_compositions(total, parts))
         for weights in TERM_WEIGHTS:
             a = weights[:parts]
-            exact = list(_terms(comps, a))
-            assert [occ for occ, _ in exact] == walk
-            for occ, term in exact:
-                want = _exact_weight(occ)
-                for ai, x in zip(a, occ):
-                    want *= ai**x
-                assert term == want, (a, occ)
             log_a = _log_priors(a)
+            exact = list(_terms(comps, a))
             logs = list(_terms(comps, log_a, log=True))
-            assert [occ for occ, _ in logs] == walk
-            for occ, value in logs:
-                want = _log_probability(occ, log_a)
-                if want == -math.inf:
-                    assert value == -math.inf, (a, occ)
-                else:
-                    assert abs(value - want) <= 1e-12, (a, occ)
+            assert [run[:3] for run in exact] == [run[:3] for run in logs]
+            assert [run[:3] for run in exact] == list(_runs(total, parts))
+            members = []
+            for (head, r, xs, factor, row), (_, _, _, log_factor, log_row) in zip(
+                exact, logs
+            ):
+                for x in xs:
+                    occ = (*head, x, r - x)[:parts]
+                    members.append(occ)
+                    want = _exact_weight(occ)
+                    for ai, count in zip(a, occ):
+                        want *= ai**count
+                    assert factor * row[x] == want, (a, occ)
+                    want = _log_probability(occ, log_a)
+                    value = log_factor + log_row[x]
+                    if want == -math.inf:
+                        assert value == -math.inf, (a, occ)
+                    else:
+                        assert abs(value - want) <= 1e-12, (a, occ)
+            assert members == walk
 
 
 # -- structural identities over the full composition set --------------------

@@ -143,17 +143,11 @@ class TestNormalizationAndMeans:
             assert reports[0].passed is (sum(prior) == 1)
 
     @pytest.mark.parametrize("dropped", [0, 13, -1])
-    def test_dropping_one_composition_fails(self, monkeypatch, dropped):
+    def test_dropping_one_composition_fails(self, drop_members, dropped):
         """The integer sums see every composition: losing any one of them
-        (first, one in the middle, last) fails the normalization."""
-        walk = combinatorics._compositions
-
-        def planted(total, parts):
-            members = list(walk(total, parts))
-            del members[dropped]
-            return iter(members)
-
-        monkeypatch.setattr(combinatorics, "_compositions", planted)
+        (first, one in the middle, last) from its run fails the
+        normalization."""
+        drop_members([list(combinatorics._compositions(6, 3))[dropped]])
         spec = SystemSpec(
             spectrum=EnergySpectrum([0.0, 1.0, 2.0]),
             prior=ProbabilityVector([0.25, 0.25, 0.5]),
@@ -282,17 +276,13 @@ class TestMostProbableState:
         "priors, beta, argmax",
         [([0.5, 0.5], 1.0, (8, 2)), ([0.25, 0.75], 0.0, (3, 8))],
     )
-    def test_dropping_the_argmax_fails(self, monkeypatch, priors, beta, argmax):
+    def test_dropping_the_argmax_fails(self, drop_members, priors, beta, argmax):
         """The scan sees every composition: without the argmax another
         composition is reported."""
         total = sum(argmax)
         spec = two_level_spec(priors, total)
         assert check_most_probable_state(spec, beta).exact_value == str(list(argmax))
-        walk = combinatorics._compositions
-        monkeypatch.setattr(
-            combinatorics, "_compositions",
-            lambda total, parts: (occ for occ in walk(total, parts) if occ != argmax),
-        )
+        drop_members([argmax])
         assert check_most_probable_state(spec, beta).exact_value != str(list(argmax))
 
 
@@ -364,6 +354,13 @@ class TestWeightDominance:
     def test_exact_mode_records_the_integer(self):
         reports = check_weight_dominance(2, (10,))
         assert reports[0].exact_value == "252"
+
+    def test_dropping_the_maximal_weight_fails(self, drop_members):
+        """The exact scan sees every composition: without (5, 5), whose
+        weight 252 is the maximum, another W_max is reported."""
+        drop_members([(5, 5)])
+        reports = check_weight_dominance(2, (10,))
+        assert reports[0].exact_value != "252"
 
     def test_zero_previous_ratio_returns_reports(self):
         # N = 1 has W_max = 1, so the first ratio is 0
