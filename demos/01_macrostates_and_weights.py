@@ -9,8 +9,8 @@ total as the particle count grows.
 import math
 
 from boltzkit import (
+    CompositionSet,
     Macrostate,
-    enumerate_compositions,
     statistical_weight,
     weight_ratio_probability,
 )
@@ -18,7 +18,7 @@ from boltzkit import (
 print("All occupation vectors of 6 particles over 3 levels")
 print(f"{'macrostate':>14} {'microstates':>12} {'share of 3^6':>14}")
 total_weight = 0
-for m in enumerate_compositions(6, 3):
+for m in CompositionSet(6, 3):
     w = statistical_weight(m).exact
     total_weight += w
     share = weight_ratio_probability(m)

@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 
 _PUBLIC = {
     "combinatorics": (
-        "CompositionSet", "StatWeight", "enumerate_compositions",
-        "log_macrostate_probability", "macrostate_probability",
+        "CompositionSet", "StatWeight", "log_macrostate_probability",
         "macrostate_probability_exact", "statistical_weight",
         "weight_ratio_probability",
     ),

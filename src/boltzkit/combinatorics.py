@@ -92,8 +92,11 @@ class CompositionSet:
         return map(Macrostate, self.iter_tuples())
 
     def iter_tuples(self) -> Iterator[tuple[int, ...]]:
-        """Raw tuples, skipping Macrostate construction, for hot loops."""
-        return _compositions(self.total, self.parts)
+        """Raw member tuples, run by run from ``_runs``, for hot loops."""
+        if self.parts == 1:  # without the phantom level
+            return ((x,) for _, _, xs in _runs(self.total, 1) for x in xs)
+        return ((*head, x, r - x)
+                for head, r, xs in _runs(self.total, self.parts) for x in xs)
 
     def materialize(self) -> list[Macrostate]:
         """Eager list of all members; refuses sets above ``DEFAULT_SIZE_CAP``."""
@@ -132,30 +135,21 @@ def _runs(total: int, parts: int) -> Iterator[tuple[tuple[int, ...], int, range]
         head[k], r = 0, head[k] - 1
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """The members of ``_runs(total, parts)``, run by run."""
-    if parts == 1:  # without the phantom level
-        return ((x,) for _, _, xs in _runs(total, 1) for x in xs)
-    return ((*head, x, r - x) for head, r, xs in _runs(total, parts) for x in xs)
-
-
-def enumerate_compositions(total: int, parts: int) -> CompositionSet:
-    """Composition set of ``total`` particles over ``parts`` levels."""
-    return CompositionSet(total=total, parts=parts)
-
-
 def _terms(
-    comps: CompositionSet, a: Sequence, log: bool = False
+    total: int, parts: int, a: Sequence, log: bool = False
 ) -> Iterator[tuple[tuple[int, ...], int, range, int | float, list]]:
-    """(head, r, xs, factor, row) for each run of ``_runs``: member x's term
-    W prod(a_i ** N_i) is factor * row[x], a big integer for integer a_i.
-    With ``log`` the a_i are ln a_i (-inf for a_i = 0) and ln of the term is
-    factor + row[x]. The caller computes each member's term itself.
+    """(head, r, xs, factor, row) for each run of ``_runs`` over the
+    composition set (total, parts), which must be within the size cap:
+    member x's term W prod(a_i ** N_i) is factor * row[x], a big integer for
+    integer a_i. With ``log`` the a_i are ln a_i (-inf for a_i = 0) and ln
+    of the term is factor + row[x]. The caller computes each member's term.
 
     A term is prod_i C(r_i, N_i) a_i ** N_i, r_i being the particles left for
     levels i.., so ``factor`` is the head's part and row[x] = C(r, x)
     a[-2] ** x a[-1] ** (r - x), built once per set (per run, for up to
     three levels, where no row recurs)."""
+    comps = CompositionSet(total, parts)
+    comps.require_within_cap()
     total, parts = comps.total, comps.parts
     if log:
         log_factorial = [_log_factorial(x) for x in range(total + 1)]
@@ -198,16 +192,6 @@ def log_macrostate_probability(
     return _log_probability(m.occupations, _log_priors(p))
 
 
-def macrostate_probability(
-    m: Macrostate, prior: ProbabilityVector | Sequence[float]
-) -> float:
-    """Multinomial probability W(m) * prod(prior_i ** N_i), via log space.
-
-    Zero prior on an occupied level legitimately gives probability 0.
-    """
-    return math.exp(log_macrostate_probability(m, prior))
-
-
 def macrostate_probability_exact(
     m: Macrostate, prior: Sequence[Fraction]
 ) -> Fraction:
@@ -227,8 +211,6 @@ def weight_ratio_probability(m: Macrostate) -> float:
     the test suite verifies independently), then converted to float. Equals
     the multinomial probability at the uniform prior.
     """
-    comps = CompositionSet(total=m.total, parts=len(m.occupations))
-    comps.require_within_cap()
-    terms = _terms(comps, [1] * comps.parts)
+    terms = _terms(m.total, len(m.occupations), [1] * len(m.occupations))
     w_sum = sum(factor * row[x] for _, _, xs, factor, row in terms for x in xs)
     return float(Fraction(_exact_weight(m.occupations), w_sum))

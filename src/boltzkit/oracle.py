@@ -127,14 +127,11 @@ def check_normalization_and_means(
     _same_length(len(prior), spec.spectrum.count, "exact priors")
     n_levels = spec.spectrum.count
     total_n = spec.particles
-    comps = CompositionSet(total=total_n, parts=n_levels)
-    comps.require_within_cap()
-
     denominator = math.lcm(*(q.denominator for q in prior))
     a = [q.numerator * (denominator // q.denominator) for q in prior]
     total_t = 0
     moments = [0] * max(n_levels, 2)  # zip with the priors drops a phantom level
-    for head, r, xs, factor, row in _terms(comps, a):
+    for head, r, xs, factor, row in _terms(total_n, n_levels, a):
         s = sx = 0
         for x in xs:
             t = factor * row[x]
@@ -206,16 +203,16 @@ def check_most_probable_state(spec: SystemSpec, beta: float) -> OracleReport:
     p = generalized_distribution(spec.spectrum, spec.prior, beta).distribution
     total_n = spec.particles
     n_levels = spec.spectrum.count
-    comps = CompositionSet(total=total_n, parts=n_levels)
-    comps.require_within_cap()
 
     # ln P sums terms of size up to ln N! + |ln P|, so its rounding is far below
     # this slack: the exact maximum is kept, a -inf (P = 0) never. One exact scan
-    # (Fraction(p_i) over their lcm, ~2**56) took 2.5-3.5x this on oracle-enum.
+    # (Fraction(p_i) over their lcm, ~2**56) takes about 5x (4.4-7.1x) this
+    # screen on oracle-enum's instances.
     scale = 1.0 + 2.0 * math.lgamma(total_n + 1)
     top = floor = -math.inf
     near: list[tuple[tuple[int, ...], float]] = []
-    for head, r, xs, factor, row in _terms(comps, _log_priors(p.entries), log=True):
+    log_p = _log_priors(p.entries)
+    for head, r, xs, factor, row in _terms(total_n, n_levels, log_p, log=True):
         for x in xs:
             lp = factor + row[x]
             if lp >= floor and lp > -math.inf:
@@ -284,10 +281,10 @@ def check_weight_dominance(n: int, n_schedule: Sequence[int]) -> list[OracleRepo
                 for total_n in map(_count, n_schedule)]
     points = []
     for total_n in map(_count, n_schedule):  # the ratio is per particle
-        comps = CompositionSet(total=total_n, parts=n)
-        if comps.cardinality <= EXACT_MODE_CAP and total_n <= EXACT_MODE_PARTICLE_CAP:
-            w_max = max(factor * row[x]
-                        for _, _, xs, factor, row in _terms(comps, [1] * n) for x in xs)
+        size = CompositionSet(total=total_n, parts=n).cardinality
+        if size <= EXACT_MODE_CAP and total_n <= EXACT_MODE_PARTICLE_CAP:
+            w_max = max(factor * row[x] for _, _, xs, factor, row
+                        in _terms(total_n, n, [1] * n) for x in xs)
             log_w_max = math.log(w_max)
             exact = str(w_max)
         else:

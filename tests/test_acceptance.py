@@ -25,7 +25,7 @@ from boltzkit import (
     boltzmann_distribution,
     generalized_distribution,
     kl_divergence,
-    macrostate_probability,
+    log_macrostate_probability,
     mean_energy_closed,
     mean_energy_series,
     negentropy_relation,
@@ -92,9 +92,8 @@ def test_criterion_02_multinomial_kkt_identity():
         q = rng.dirichlet(np.ones(n)) + 0.02
         prior = ProbabilityVector(q / q.sum())
         m = Macrostate(occ)
-        log_ratio = math.log(
-            macrostate_probability(m, prior)
-        ) - statistical_weight(m).log_value
+        log_ratio = (log_macrostate_probability(m, prior)
+                     - statistical_weight(m).log_value)
         prior_term = math.fsum(
             x * math.log(v) for x, v in zip(m.occupations, prior.entries) if x
         )

@@ -605,8 +605,19 @@ class TestFamilyErrors:
         ('{"levels": [0, -1e-310, -1e-40, -1], "priors": [0.5, 0.5, 5e-251, 5e-301], '
          '"N": 1}', ("solve", "--target-energy=-1e-300"), 3,
          "solver stalled: mean -1.0000000041400388e-300 misses target -1e-300"),
+        (SPEC_UNIFORM, ("sweep", "--variable", "temperature", "--from", "0",
+                        "--to", "2", "--points", "3"), 2,
+         "temperature sweeps require start > 0"),
+        (SPEC_UNIFORM, ("sweep", "--variable", "temperature", "--from", "-1",
+                        "--to", "2", "--points", "3"), 2,
+         "temperature sweeps require start > 0"),
+        (SPEC_UNIFORM, ("solve", "--target-energy", "nan"), 2,
+         "target nan must be finite"),
+        (SPEC_UNIFORM, ("solve", "--target-energy", "inf"), 2,
+         "target inf must be finite"),
     ], ids=["out-of-range", "one-energy-support", "log-partition", "oscillator-beta",
-            "stalled", "stalled-mirror"])
+            "stalled", "stalled-mirror", "temperature-from-zero",
+            "temperature-from-negative", "target-nan", "target-inf"])
     def test_exit_code_and_error_line(self, tmp_path, spec, args, code, message):
         if spec is not None:
             path = tmp_path / "spec.json"

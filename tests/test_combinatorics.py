@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 from boltzkit import (
     Macrostate,
     ProbabilityVector,
-    enumerate_compositions,
-    macrostate_probability,
     macrostate_probability_exact,
     statistical_weight,
     uniform_prior,
@@ -24,7 +22,6 @@ from boltzkit import (
 )
 from boltzkit.combinatorics import (
     CompositionSet,
-    _compositions,
     _exact_weight,
     _log_priors,
     _log_probability,
@@ -72,18 +69,18 @@ def test_log_weight_beyond_float_range():
 
 class TestCompositions:
     def test_empty_system(self):
-        assert [m.occupations for m in enumerate_compositions(0, 3)] == [
+        assert [m.occupations for m in CompositionSet(0, 3)] == [
             (0, 0, 0)
         ]
 
     def test_three_over_two(self):
-        got = [m.occupations for m in enumerate_compositions(3, 2)]
+        got = [m.occupations for m in CompositionSet(3, 2)]
         assert got == [(0, 3), (1, 2), (2, 1), (3, 0)]  # lexicographic
-        assert len(enumerate_compositions(3, 2)) == 4
+        assert len(CompositionSet(3, 2)) == 4
 
     def test_counts_match_stars_and_bars(self):
         for total, parts in [(2, 3), (5, 4), (12, 3), (0, 1)]:
-            comps = enumerate_compositions(total, parts)
+            comps = CompositionSet(total, parts)
             members = list(comps)
             assert len(members) == math.comb(total + parts - 1, parts - 1)
             assert len(set(m.occupations for m in members)) == len(members)
@@ -95,7 +92,7 @@ class TestCompositions:
         st.integers(min_value=1, max_value=4),
     )
     def test_lexicographic_no_duplicates(self, total, parts):
-        seq = [m.occupations for m in enumerate_compositions(total, parts)]
+        seq = [m.occupations for m in CompositionSet(total, parts)]
         assert seq == sorted(seq)
         assert len(seq) == len(set(seq))
 
@@ -107,39 +104,40 @@ class TestCompositions:
             for occ in itertools.product(range(total + 1), repeat=parts)
             if sum(occ) == total
         )
-        got = list(_compositions(total, parts))
+        got = list(CompositionSet(total, parts).iter_tuples())
         assert got == want
         assert len(got) == CompositionSet(total, parts).cardinality
         assert len(set(got)) == len(got)
 
     def test_size_guard_on_materialize(self):
-        comps = enumerate_compositions(200, 5)  # ~70e6 members
+        comps = CompositionSet(200, 5)  # ~70e6 members
         with pytest.raises(ValidationError, match="compositions exceed the cap"):
             comps.materialize()
-        small = enumerate_compositions(3, 2).materialize()
+        small = CompositionSet(3, 2).materialize()
         assert len(small) == 4
 
 
 class TestMacrostateProbability:
     def test_deterministic_placement(self):
         p = ProbabilityVector([1.0, 0.0])
-        assert macrostate_probability(Macrostate([5, 0]), p) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert math.exp(
+            log_macrostate_probability(Macrostate([5, 0]), p)
+        ) == pytest.approx(1.0, abs=1e-12)
 
     def test_binomial_example(self):
-        p = macrostate_probability(Macrostate([2, 1]), uniform_prior(2))
+        p = math.exp(
+            log_macrostate_probability(Macrostate([2, 1]), uniform_prior(2))
+        )
         assert p == pytest.approx(0.375, abs=1e-12)  # 3 * (1/2)^3
 
     def test_direct_product_example(self):
-        p = macrostate_probability(
+        p = math.exp(log_macrostate_probability(
             Macrostate([1, 1]), ProbabilityVector([0.25, 0.75])
-        )
+        ))
         assert p == pytest.approx(2 * 0.25 * 0.75, abs=1e-12)
 
     def test_zero_prior_occupied_is_zero_not_error(self):
         p = ProbabilityVector([1.0, 0.0])
-        assert macrostate_probability(Macrostate([1, 1]), p) == 0.0
         assert log_macrostate_probability(Macrostate([1, 1]), p) == -math.inf
 
     def test_exact_rational_path(self):
@@ -161,9 +159,9 @@ class TestWeightRatio:
         for occ in [(2, 1), (3, 3), (0, 4, 1)]:
             m = Macrostate(occ)
             via_ratio = weight_ratio_probability(m)
-            via_multinomial = macrostate_probability(
+            via_multinomial = math.exp(log_macrostate_probability(
                 m, uniform_prior(len(occ))
-            )
+            ))
             assert via_ratio == pytest.approx(via_multinomial, rel=1e-12)
 
     def test_size_guard(self):
@@ -176,7 +174,7 @@ class TestWeightRatio:
         m = Macrostate([2, 3, 1])
         want = float(Fraction(brute_weight(m.occupations), 3**6))
         assert weight_ratio_probability(m) == want
-        members = list(_compositions(6, 3))
+        members = list(CompositionSet(6, 3).iter_tuples())
         assert len(members) == 28
         for member in members:
             drop_members([member])
@@ -193,13 +191,12 @@ class TestTerms:
     @pytest.mark.parametrize("parts", range(1, 6))
     @pytest.mark.parametrize("total", range(0, 11))
     def test_matches_per_composition_terms(self, total, parts):
-        comps = CompositionSet(total, parts)
-        walk = list(_compositions(total, parts))
+        walk = list(CompositionSet(total, parts).iter_tuples())
         for weights in TERM_WEIGHTS:
             a = weights[:parts]
             log_a = _log_priors(a)
-            exact = list(_terms(comps, a))
-            logs = list(_terms(comps, log_a, log=True))
+            exact = list(_terms(total, parts, a))
+            logs = list(_terms(total, parts, log_a, log=True))
             assert [run[:3] for run in exact] == [run[:3] for run in logs]
             assert [run[:3] for run in exact] == list(_runs(total, parts))
             members = []
@@ -238,7 +235,7 @@ def test_exact_normalization_and_means(total, parts):
     prior = RATIONAL_PRIORS[parts]
     total_p = Fraction(0)
     means = [Fraction(0)] * parts
-    for m in enumerate_compositions(total, parts):
+    for m in CompositionSet(total, parts):
         p = macrostate_probability_exact(m, prior)
         total_p += p
         for j, x in enumerate(m.occupations):
@@ -252,7 +249,7 @@ def test_exact_normalization_and_means(total, parts):
 def test_weights_sum_to_levels_to_the_particles(total, parts):
     """Big-integer identity: sum of W over all compositions is n**N."""
     acc = 0
-    for m in enumerate_compositions(total, parts):
+    for m in CompositionSet(total, parts):
         acc += statistical_weight(m).exact
     assert acc == parts**total
 
@@ -260,7 +257,7 @@ def test_weights_sum_to_levels_to_the_particles(total, parts):
 def test_log_probability_minus_log_weight_is_prior_term():
     """ln(P/W) must equal sum(N_i ln prior_i) to rounding."""
     prior = ProbabilityVector([0.2, 0.3, 0.5])
-    for m in enumerate_compositions(9, 3):
+    for m in CompositionSet(9, 3):
         log_p = log_macrostate_probability(m, prior)
         expected = math.fsum(
             x * math.log(q) for x, q in zip(m.occupations, prior.entries) if x

@@ -401,15 +401,12 @@ def _k_routes():
 def _count_routes():
     """Every entry point that takes a level, part or truncation count, or a
     composition's total, as (count -> call, least valid count)."""
-    from boltzkit import (CompositionSet, OscillatorModel, check_weight_dominance,
-                          enumerate_compositions)
+    from boltzkit import CompositionSet, OscillatorModel, check_weight_dominance
     from boltzkit.oscillators import Dimensionality
     return {
         "uniform_prior": (uniform_prior, 1),
         "CompositionSet.parts": (lambda n: CompositionSet(3, n), 1),
         "CompositionSet.total": (lambda n: CompositionSet(n, 2), 0),
-        "enumerate_compositions.parts": (lambda n: enumerate_compositions(3, n), 1),
-        "enumerate_compositions.total": (lambda n: enumerate_compositions(n, 2), 0),
         "weight_dominance": (lambda n: check_weight_dominance(n, (4,)), 1),
         "OscillatorModel.truncation": (
             lambda n: OscillatorModel(1.0, Dimensionality.LINEAR_1D, n), 1),

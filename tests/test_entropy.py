@@ -16,7 +16,7 @@ from boltzkit import (
     exact_boltzmann_entropy,
     kl_cross_entropy,
     kl_divergence,
-    macrostate_probability,
+    log_macrostate_probability,
     negentropy_relation,
     occupation_cross_entropy,
     shannon_entropy,
@@ -361,7 +361,7 @@ class TestEinsteinProbability:
         gaps = []
         for total in (10, 100, 1000):
             m = round_to_macrostate(total, p)
-            log_p = math.log(macrostate_probability(m, prior))
+            log_p = log_macrostate_probability(m, prior)
             mean = [total * q for q in prior.entries]
             lhs, rhs = negentropy_relation(m, mean)
             gaps.append(abs(log_p - (-lhs)) / total)

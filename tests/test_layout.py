@@ -4,7 +4,7 @@ Each input rule has one owner: the length, particle-count, level-count and
 at-least-one-entry errors are raised once, in ``core``. The exact-enumeration
 cap is one constant, not a parameter, and ``core`` imports nothing that loads
 numpy. Every error class below the families names a rule of ``core``; other
-modules raise a family.
+modules raise a family. Only ``combinatorics`` applies the cap.
 """
 
 import ast
@@ -58,6 +58,15 @@ def test_no_cap_or_digits_parameter():
         if arg.arg in ("cap", "digits")
     ]
     assert found == []
+
+
+def test_only_combinatorics_applies_the_size_cap():
+    callers = {
+        module for module, tree in TREES.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "require_within_cap"
+    }
+    assert callers == {"combinatorics"}
 
 
 def _imports(module: str) -> set[str]:

@@ -147,7 +147,7 @@ class TestNormalizationAndMeans:
         """The integer sums see every composition: losing any one of them
         (first, one in the middle, last) from its run fails the
         normalization."""
-        drop_members([list(combinatorics._compositions(6, 3))[dropped]])
+        drop_members([list(combinatorics.CompositionSet(6, 3).iter_tuples())[dropped]])
         spec = SystemSpec(
             spectrum=EnergySpectrum([0.0, 1.0, 2.0]),
             prior=ProbabilityVector([0.25, 0.25, 0.5]),
@@ -284,6 +284,15 @@ class TestMostProbableState:
         assert check_most_probable_state(spec, beta).exact_value == str(list(argmax))
         drop_members([argmax])
         assert check_most_probable_state(spec, beta).exact_value != str(list(argmax))
+
+    def test_size_guard(self):
+        spec = SystemSpec(
+            spectrum=EnergySpectrum([0.0] * 5),
+            prior=uniform_prior(5),
+            particles=200,
+        )
+        with pytest.raises(ValidationError, match="compositions exceed the cap"):
+            check_most_probable_state(spec, 1.0)
 
 
 class TestEinsteinConvergence:
