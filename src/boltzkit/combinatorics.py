@@ -85,9 +85,6 @@ class CompositionSet:
     def cardinality(self) -> int:
         return math.comb(self.total + self.parts - 1, self.parts - 1)
 
-    def __len__(self) -> int:
-        return self.cardinality
-
     def __iter__(self) -> Iterator[Macrostate]:
         return map(Macrostate, self.iter_tuples())
 
@@ -105,9 +102,9 @@ class CompositionSet:
 
     def require_within_cap(self) -> None:
         if self.cardinality > DEFAULT_SIZE_CAP:
-            raise ValidationError(
-                f"{self.cardinality} compositions exceed the cap {DEFAULT_SIZE_CAP}"
-            )
+            from decimal import Decimal  # exact at any size; loaded only here
+            raise ValidationError(f"{Decimal(self.cardinality):.3e} compositions "
+                                  f"exceed the cap {DEFAULT_SIZE_CAP}")
 
 
 def _runs(total: int, parts: int) -> Iterator[tuple[tuple[int, ...], int, range]]:

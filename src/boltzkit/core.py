@@ -19,7 +19,6 @@ from .errors import (
     LengthMismatch,
     NegativePrior,
     NonFiniteEnergy,
-    NonPositiveN,
     PriorSumMismatch,
     ValidationError,
     ZeroLevels,
@@ -85,18 +84,10 @@ def _index(n, least: int) -> int | None:
     return value if value >= least else None
 
 
-def _count(n) -> int:
-    """A particle count as an int; a bool, a float or a value < 1 is refused."""
-    count = _index(n, 1)
-    if count is None:
-        raise NonPositiveN(f"particle count {n!r} is not a positive integer")
-    return count
-
-
 def _size(n, what: str, least: int = 1) -> int:
-    """A level, part or truncation count (or, with least=0, a composition's
-    total or occupation) as an int; a bool, a float or a value < least is
-    refused."""
+    """A particle, level, part or truncation count (or, with least=0, a
+    composition's total or occupation) as an int; a bool, a float or a value
+    < least is refused."""
     size = _index(n, least)
     if size is None:
         raise InvalidCount(f"{what} {n!r} is not an integer >= {least}")
@@ -196,20 +187,16 @@ def uniform_prior(n: int) -> ProbabilityVector:
 
 @dataclass(frozen=True)
 class Macrostate:
-    """Occupation numbers [N_1..N_n]; ``total`` is their (checked) sum. Each
-    occupation, and a declared total, is a count >= 0 (``_size``)."""
+    """Occupation numbers [N_1..N_n], counts >= 0; ``total`` is their sum."""
 
     occupations: tuple[int, ...]
     total: int = field(default=-1)
 
-    def __init__(self, occupations: Iterable[int], total: int | None = None):
+    def __init__(self, occupations: Iterable[int]):
         values = tuple(_size(x, "occupation", 0) for x in occupations)
         _some_levels(values, "macrostate needs at least one level")
-        s = sum(values)
-        if total is not None and _size(total, "declared total", 0) != s:
-            raise ValidationError(f"declared total {total} != sum {s}")
         object.__setattr__(self, "occupations", values)
-        object.__setattr__(self, "total", s)
+        object.__setattr__(self, "total", sum(values))
 
     def __len__(self) -> int:
         return len(self.occupations)
@@ -227,7 +214,7 @@ class SystemSpec:
 
     def __post_init__(self):
         _same_length(len(self.prior), self.spectrum.count, "priors")
-        object.__setattr__(self, "particles", _count(self.particles))
+        object.__setattr__(self, "particles", _size(self.particles, "particle count"))
         object.__setattr__(self, "boltzmann_k", _boltzmann_k(self.boltzmann_k))
 
 

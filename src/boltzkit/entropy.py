@@ -14,7 +14,7 @@ from itertools import repeat
 from typing import Iterable, Sequence
 
 from .combinatorics import _log_weight
-from .core import Macrostate, ProbabilityVector, _boltzmann_k, _count, _same_length
+from .core import Macrostate, ProbabilityVector, _boltzmann_k, _same_length, _size
 from .errors import ValidationError
 
 #: Tolerance on sum(mean occupations) == N.
@@ -103,7 +103,7 @@ def kl_cross_entropy(
 
     Nonpositive, and zero exactly when p == p0 on their common support.
     """
-    return -_count(N) * _boltzmann_k(k) * kl_divergence(p, p0)
+    return -_size(N, "particle count") * _boltzmann_k(k) * kl_divergence(p, p0)
 
 
 def _check_mean(m: Macrostate, mean: Sequence[float]) -> tuple[float, ...]:

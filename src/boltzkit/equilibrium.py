@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EnergySpectrum, ProbabilityVector, _boltzmann_k, _count, _same_length
+from .core import EnergySpectrum, ProbabilityVector, _boltzmann_k, _same_length, _size
 from .errors import InfeasibleError, NumericError, ValidationError
 
 
@@ -253,7 +253,7 @@ def equilibrium_entropy_uniform(
     -k N sum(p ln p) of the same distribution (exposed separately via
     ``EquilibriumSolution.entropy_per_particle``).
     """
-    k_n = _boltzmann_k(k) * _count(N)
+    k_n = _boltzmann_k(k) * _size(N, "particle count")
     _, log_z, mean = _exponential_family(*_family_arrays(spectrum, None), beta)
     return k_n * (math.log(spectrum.count) + beta * mean + log_z)
 
@@ -274,7 +274,7 @@ def equilibrium_entropy_prior(
     partition sum is Z/n there); the inequality between the two forms is
     what ``entropy_inequality_check`` reports.
     """
-    k_n = _boltzmann_k(k) * _count(N)
+    k_n = _boltzmann_k(k) * _size(N, "particle count")
     energies, log_prior = _family_arrays(spectrum, prior)
     prior_entropy = _prior_entropy(prior, log_prior)
     _, log_z, mean = _exponential_family(energies, log_prior, beta)

@@ -6,7 +6,8 @@ breakdown, ``InfeasibleError`` for well-formed but unsatisfiable requests.
 
 The rule: each subclass below the families names one input rule and is
 raised only in ``core``, which checks that rule; every other module raises
-a family, with a message that tells its cases apart.
+a family, with a message that tells its cases apart. Every count, the
+particle count N included, follows one rule and raises ``InvalidCount``.
 """
 
 
@@ -40,10 +41,6 @@ class PriorSumMismatch(ValidationError):
     """Prior probabilities do not sum to 1 within tolerance."""
 
 
-class NonPositiveN(ValidationError):
-    """Particle count must be a positive integer."""
-
-
 class NonFiniteEnergy(ValidationError):
     """An energy level is NaN or infinite."""
 
@@ -53,8 +50,9 @@ class ZeroLevels(ValidationError):
 
 
 class InvalidCount(ZeroLevels):
-    """A level, part or truncation count, or a composition's particle total,
-    is not an integer at or above its least value (1, or 0 for a total). It
-    is a ZeroLevels only because ``uniform_prior(0)`` has always raised that.
+    """A particle, level, part or truncation count, or a composition's total
+    or occupation, is not an integer at or above its least value (1, or 0
+    for a total or occupation). It is a ZeroLevels only because
+    ``uniform_prior(0)`` has always raised that.
     """
 

@@ -29,7 +29,6 @@ from .core import (
     Macrostate,
     ProbabilityVector,
     SystemSpec,
-    _count,
     _same_length,
     _size,
     uniform_prior,
@@ -69,12 +68,9 @@ class OracleReport:
     passed: bool
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def reports_to_json(reports: Sequence[OracleReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)
+    return json.dumps([asdict(r) for r in reports], indent=2)
 
 
 def format_fraction(value: Fraction) -> str:
@@ -93,7 +89,9 @@ def round_to_macrostate(total: int, p: Sequence[float]) -> Macrostate:
     Deterministic: leftover units go to the largest fractional parts,
     ties to the lowest index.
     """
-    targets = [total * float(q) for q in p]
+    total = _size(total, "composition total", 0)
+    p = ProbabilityVector(p).entries
+    targets = [total * q for q in p]
     base = [math.floor(t) for t in targets]
     leftover = total - sum(base)
     order = sorted(
@@ -251,7 +249,8 @@ def check_einstein_convergence(
             raise ValidationError("p has mass where the prior has none")
 
     points = []
-    for total_n in map(_count, n_schedule):  # each metric is per particle
+    for total_n in n_schedule:  # each metric is per particle
+        total_n = _size(total_n, "particle count")
         m = round_to_macrostate(total_n, p.entries)
         log_p_exact = math.log(_exact_weight(m.occupations)) + math.fsum(
             x * math.log(q) for x, q in zip(m.occupations, prior.entries) if x
@@ -275,12 +274,13 @@ def check_weight_dominance(n: int, n_schedule: Sequence[int]) -> list[OracleRepo
     (the known argmax of the multinomial coefficient).
     """
     n = _size(n, "level count")
+    schedule = [_size(total_n, "particle count") for total_n in n_schedule]
     name = "weight_dominance_ratio"
     if n == 1:
         return [_report(name, f"N={total_n} n=1", "1", 1.0, 0.0, 1.0, 0.0, True)
-                for total_n in map(_count, n_schedule)]
+                for total_n in schedule]
     points = []
-    for total_n in map(_count, n_schedule):  # the ratio is per particle
+    for total_n in schedule:  # the ratio is per particle
         size = CompositionSet(total=total_n, parts=n).cardinality
         if size <= EXACT_MODE_CAP and total_n <= EXACT_MODE_PARTICLE_CAP:
             w_max = max(factor * row[x] for _, _, xs, factor, row

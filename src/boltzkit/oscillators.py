@@ -80,20 +80,15 @@ def _tail_g2(x: float, y: float, m: int) -> float:
     )
 
 
-def mean_energy_series(
-    model: OscillatorModel, beta: float, tol: float | None = None
-) -> tuple[float, float]:
+def mean_energy_series(model: OscillatorModel, beta: float) -> tuple[float, float]:
     """Truncated-series mean energy and a rigorous truncation-error bound.
 
     Sums the first ``model.truncation`` levels of
     sum(w_i E_i exp(-beta E_i)) / sum(w_i exp(-beta E_i)) with weight 1
     (1D) or i (2D). The bound combines the exact geometric tails of
     numerator and denominator: for partial sums A/B with nonnegative tails
-    a, b, |(A+a)/(B+b) - A/B| <= (a + b A/B)/B.
-
-    When ``tol`` is given and the bound exceeds it, raises
-    ``NumericError`` instead of returning a value the caller
-    would have to distrust.
+    a, b, |(A+a)/(B+b) - A/B| <= (a + b A/B)/B. ``auto_truncation`` picks
+    the truncation whose bound meets a tolerance.
     """
     if not (beta > 0.0):
         raise ValidationError(f"beta {beta!r} must be positive")
@@ -117,11 +112,6 @@ def mean_energy_series(
         tail_e = _tail_g2(x, y, L) + 2.0 * _tail_g1(x, y, L) + _tail_g0(x, y, L)
     ratio = num / den
     tail_bound = model.h_nu * (tail_e + tail_z * ratio) / den
-    if tol is not None and tail_bound > tol:
-        raise NumericError(
-            f"tail bound {tail_bound:.3e} exceeds requested tolerance "
-            f"{tol:.3e} at truncation {L}"
-        )
     return model.h_nu * ratio, tail_bound
 
 

@@ -615,9 +615,11 @@ class TestFamilyErrors:
          "target nan must be finite"),
         (SPEC_UNIFORM, ("solve", "--target-energy", "inf"), 2,
          "target inf must be finite"),
+        ('{"levels": [0, 1], "priors": [0.5, 0.5], "N": 0}',
+         ("distribution", "--beta", "1"), 2, "particle count 0 is not an integer >= 1"),
     ], ids=["out-of-range", "one-energy-support", "log-partition", "oscillator-beta",
             "stalled", "stalled-mirror", "temperature-from-zero",
-            "temperature-from-negative", "target-nan", "target-inf"])
+            "temperature-from-negative", "target-nan", "target-inf", "particle-count"])
     def test_exit_code_and_error_line(self, tmp_path, spec, args, code, message):
         if spec is not None:
             path = tmp_path / "spec.json"

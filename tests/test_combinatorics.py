@@ -76,7 +76,13 @@ class TestCompositions:
     def test_three_over_two(self):
         got = [m.occupations for m in CompositionSet(3, 2)]
         assert got == [(0, 3), (1, 2), (2, 1), (3, 0)]  # lexicographic
-        assert len(CompositionSet(3, 2)) == 4
+        assert CompositionSet(3, 2).cardinality == 4
+
+    def test_cardinality_is_exact_at_any_size(self):
+        comps = CompositionSet(10_000, 100)
+        assert comps.cardinality == math.comb(10_099, 99)
+        assert comps.cardinality > 2**63  # beyond what len() could return
+        assert not hasattr(comps, "__len__")
 
     def test_counts_match_stars_and_bars(self):
         for total, parts in [(2, 3), (5, 4), (12, 3), (0, 1)]:
@@ -115,6 +121,12 @@ class TestCompositions:
             comps.materialize()
         small = CompositionSet(3, 2).materialize()
         assert len(small) == 4
+
+    def test_size_cap_message_rounds_the_count(self):
+        # the count has 241 digits; the message shows it to four
+        with pytest.raises(ValidationError) as info:
+            CompositionSet(10_000, 100).materialize()
+        assert str(info.value) == "1.755e+240 compositions exceed the cap 10000000"
 
 
 class TestMacrostateProbability:

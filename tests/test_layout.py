@@ -1,10 +1,11 @@
 """Structural rules of the package source, read from its syntax trees.
 
-Each input rule has one owner: the length, particle-count, level-count and
-at-least-one-entry errors are raised once, in ``core``. The exact-enumeration
-cap is one constant, not a parameter, and ``core`` imports nothing that loads
-numpy. Every error class below the families names a rule of ``core``; other
-modules raise a family. Only ``combinatorics`` applies the cap.
+Each input rule has one owner: the length, count (particle, level, part,
+truncation, total and occupation alike) and at-least-one-entry errors are
+raised once, in ``core``. The exact-enumeration cap is one constant, not a
+parameter, and ``core`` imports nothing that loads numpy. Every error class
+below the families names a rule of ``core``; other modules raise a family.
+Only ``combinatorics`` applies the cap.
 """
 
 import ast
@@ -28,8 +29,7 @@ def _raised(tree: ast.AST, name: str) -> int:
     )
 
 
-@pytest.mark.parametrize("error", ["LengthMismatch", "NonPositiveN", "InvalidCount",
-                                   "ZeroLevels"])
+@pytest.mark.parametrize("error", ["LengthMismatch", "InvalidCount", "ZeroLevels"])
 def test_rule_errors_are_raised_once_in_core(error):
     assert {module: _raised(tree, error) for module, tree in TREES.items()
             if _raised(tree, error)} == {"core": 1}

@@ -1,5 +1,6 @@
 """Oscillator closed forms verified against independent series summation."""
 
+import inspect
 import math
 
 import numpy as np
@@ -125,12 +126,13 @@ class TestSeries:
                 assert bound <= 1e-10
                 assert abs(value - closed) <= bound + 1e-12
 
-    def test_truncation_insufficient_when_tolerance_requested(self):
+    def test_a_tolerance_goes_through_auto_truncation(self):
+        assert list(inspect.signature(mean_energy_series).parameters) == ["model", "beta"]
         model = OscillatorModel(1.0, PLA, truncation=10)
-        _, bound = mean_energy_series(model, 0.1)
-        assert bound > 1e-6
-        with pytest.raises(NumericError, match="exceeds requested tolerance"):
-            mean_energy_series(model, 0.1, tol=1e-6)
+        assert mean_energy_series(model, 0.1)[1] > 1e-6
+        wider = auto_truncation(model, 0.1, tol=1e-6)
+        assert wider.truncation > 10
+        assert mean_energy_series(wider, 0.1)[1] <= 1e-6
 
     def test_auto_truncation_cap(self):
         with pytest.raises(NumericError, match="at the cap 64"):
