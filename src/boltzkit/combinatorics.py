@@ -144,7 +144,8 @@ def _terms(
     A term is prod_i C(r_i, N_i) a_i ** N_i, r_i being the particles left for
     levels i.., so ``factor`` is the head's part and row[x] = C(r, x)
     a[-2] ** x a[-1] ** (r - x), built once per set (per run, for up to
-    three levels, where no row recurs)."""
+    three levels, where no row recurs). An exact row takes its binomials from
+    C(r, x + 1) = C(r, x) (r - x) // (x + 1), an exact division."""
     comps = CompositionSet(total, parts)
     comps.require_within_cap()
     total, parts = comps.total, comps.parts
@@ -169,8 +170,13 @@ def _terms(
             left -= x
         row = rows.get(r)
         if row is None:
-            row = [times(choose(r, x), times(before[x], last[r - x]))
-                   for x in range(r + 1)]
+            if log:
+                row = [choose(r, x) + (before[x] + last[r - x]) for x in range(r + 1)]
+            else:  # c = C(r, x)
+                row, c = [], 1
+                for x in range(r + 1):
+                    row.append(c * (before[x] * last[r - x]))
+                    c = c * (r - x) // (x + 1)
             if keep:
                 rows[r] = row
         yield head, r, xs, factor, row

@@ -36,7 +36,7 @@ class EntropyValue:
 def _entropy(nats: float, k: float) -> EntropyValue:
     """k * nats: EntropyValue checks k once, then the product is stored."""
     entropy = EntropyValue(value=nats, k_used=k)
-    object.__setattr__(entropy, "value", entropy.k_used * nats)
+    object.__setattr__(entropy, "value", entropy.k_used * nats + 0.0)  # not -0.0
     return entropy
 
 
@@ -93,7 +93,7 @@ def kl_divergence(
         raise ValidationError(f"mass {float(a[i])!r} where the reference "
                               f"distribution has {float(b[i])!r}")
     a, b = a[mass], b[mass]
-    return math.fsum((a * np.log(a / b)).tolist())
+    return max(0.0, math.fsum((a * np.log(a / b)).tolist()))  # below 0: rounding
 
 
 def kl_cross_entropy(

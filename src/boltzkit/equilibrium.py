@@ -85,7 +85,8 @@ def _exponential_family(
 def _summaries(energies: np.ndarray, log_prior: np.ndarray, beta: float):
     """The kernel's p, ln Z_w and <E>, and -sum(p ln p) with 0 ln 0 = 0."""
     p, log_z, mean = _exponential_family(energies, log_prior, beta)
-    return p, log_z, mean, float(-np.sum(p * np.log(np.where(p > 0.0, p, 1.0))))
+    entropy = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)))
+    return p, log_z, mean, float(entropy) + 0.0  # +0.0, not -0.0, on a point mass
 
 
 def _solution(spectrum, prior, beta: float) -> EquilibriumSolution:
@@ -107,7 +108,7 @@ def generalized_distribution(
 
     Levels with zero prior get probability exactly 0. With a uniform prior
     this coincides with ``boltzmann_distribution``. At beta = 0 it returns
-    the prior itself.
+    the prior, up to rounding.
     """
     return _solution(spectrum, prior, beta)
 

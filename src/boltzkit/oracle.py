@@ -17,10 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinatorics import (
-    CompositionSet,
     _exact_weight,
     _log_priors,
-    _log_weight,
     _terms,
     macrostate_probability_exact,
 )
@@ -36,13 +34,6 @@ from .core import (
 from .entropy import occupation_cross_entropy
 from .equilibrium import generalized_distribution
 from .errors import ValidationError
-
-#: Above either cap, ``check_weight_dominance`` takes W_max from log-gamma
-#: instead of a big-integer scan, whose integers grow with N: for n = 2 the
-#: scan takes about 1.2 ms at N = 300, 25 ms at 1,000 and 13 s at 10,000
-#: (2-core Xeon).
-EXACT_MODE_CAP = 200_000
-EXACT_MODE_PARTICLE_CAP = 300
 
 
 @dataclass(frozen=True)
@@ -75,9 +66,9 @@ def reports_to_json(reports: Sequence[OracleReport]) -> str:
 
 def format_fraction(value: Fraction) -> str:
     """Decimal rendering of an exact rational to 36 significant digits,
-    exact when it terminates within them."""
+    exact when it terminates within them, and in full for any integer."""
     if value.denominator == 1:
-        return str(value.numerator)
+        return str(Decimal(value.numerator))  # str() of an int stops at 4,300 digits
     with localcontext() as ctx:
         ctx.prec = 36
         return str(Decimal(value.numerator) / Decimal(value.denominator))
@@ -268,10 +259,10 @@ def check_einstein_convergence(
 def check_weight_dominance(n: int, n_schedule: Sequence[int]) -> list[OracleReport]:
     """r(N) = ln W_max / ln W_total must increase toward 1 along N.
 
-    W_total is n**N exactly (multinomial theorem). W_max comes from
-    exhaustive big-integer search when the composition set is small
-    enough, otherwise from log-gamma at the balanced occupation vector
-    (the known argmax of the multinomial coefficient).
+    W_total is n**N exactly (multinomial theorem). At every N, W_max is the
+    largest exact weight, from the big-integer scan of ``_terms`` over every
+    composition, and ``exact_value`` holds all its digits; a set above
+    ``DEFAULT_SIZE_CAP`` compositions raises ``ValidationError``.
     """
     n = _size(n, "level count")
     schedule = [_size(total_n, "particle count") for total_n in n_schedule]
@@ -281,19 +272,10 @@ def check_weight_dominance(n: int, n_schedule: Sequence[int]) -> list[OracleRepo
                 for total_n in schedule]
     points = []
     for total_n in schedule:  # the ratio is per particle
-        size = CompositionSet(total=total_n, parts=n).cardinality
-        if size <= EXACT_MODE_CAP and total_n <= EXACT_MODE_PARTICLE_CAP:
-            w_max = max(factor * row[x] for _, _, xs, factor, row
-                        in _terms(total_n, n, [1] * n) for x in xs)
-            log_w_max = math.log(w_max)
-            exact = str(w_max)
-        else:
-            balanced = round_to_macrostate(total_n, [1.0 / n] * n)
-            log_w_max = _log_weight(balanced.occupations)
-            exact = f"lgamma:{log_w_max:.17g}"
-        points.append(
-            (f"N={total_n} n={n}", exact, log_w_max / (total_n * math.log(n)))
-        )
+        w_max = max(factor * row[x] for _, _, xs, factor, row
+                    in _terms(total_n, n, [1] * n) for x in xs)
+        points.append((f"N={total_n} n={n}", format_fraction(Fraction(w_max)),
+                       math.log(w_max) / (total_n * math.log(n))))
     return _schedule(name, points, increasing=True)
 
 

@@ -18,6 +18,7 @@ from boltzkit import cli, equilibrium
 SPEC_UNIFORM = '{"levels": [0.0, 1.0], "priors": [0.5, 0.5], "N": 10}'
 SPEC_WEIGHTED = '{"levels": [0.0, 1.0], "priors": [0.25, 0.75], "N": 4}'
 SPEC_FLAT = '{"levels": [1.0, 1.0], "priors": [0.5, 0.5], "N": 2}'
+SPEC_CI = '{"levels": [0, 1, 2, 3], "priors": [0.4, 0.3, 0.2, 0.1], "N": 100}'
 
 
 def run_cli(*args):
@@ -72,6 +73,19 @@ class TestDistribution:
             "log_partition", "mean_energy", "gibbs_entropy",
         ]
         assert [row[3] for row in body] == [row[2] for row in body]
+
+    @pytest.mark.parametrize("spec, beta", [
+        ('{"levels": [0.0], "priors": [1.0], "N": 10}', "1"),
+        (SPEC_CI, "1e308"),
+    ], ids=["one-level", "beta-1e308"])
+    def test_point_mass_gibbs_entropy_is_zero(self, tmp_path, spec, beta):
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        args = ("distribution", "--spec", str(path), "--beta", beta)
+        _, out = run_main(*args)
+        assert {row[6] for row in parse_csv(out.encode())[1]} == {"0"}
+        _, out = run_main(*args, "--format", "json")
+        assert '"gibbs_entropy": 0.0}' in out and "-0.0" not in out
 
     def test_unit_beta_values(self, uniform_spec):
         code, out = run_main("distribution", "--spec", uniform_spec, "--beta", "1")
@@ -154,6 +168,16 @@ class TestSweep:
         assert body[1][2] == dist_body[0][4]  # log_partition agrees
         assert body[1][3] == dist_body[0][5]  # mean_energy agrees
         assert body[1][4] == dist_body[0][6]  # gibbs_entropy agrees
+
+    def test_kl_to_prior_at_beta_zero_is_zero(self, tmp_path):
+        # p at beta = 0 is the prior up to rounding; the divergence is not < 0
+        path = tmp_path / "spec.json"
+        path.write_text(SPEC_CI)
+        _, out = run_main("sweep", "--spec", str(path), "--from", "0",
+                          "--to", "2", "--points", "21")
+        header, body = parse_csv(out.encode())
+        assert body[0][0] == "0" and body[0][header.index("kl_to_prior")] == "0"
+        assert all(float(row[-1]) > 0.0 for row in body[1:])
 
     def test_log_spacing_from_zero_exits_2(self, uniform_spec):
         code, out = run_main("sweep", "--spec", uniform_spec, "--from", "0",

@@ -230,6 +230,13 @@ class TestTerms:
                         assert abs(value - want) <= 1e-12, (a, occ)
             assert members == walk
 
+    def test_one_long_row(self):
+        """The exact row's binomial recurrence against ``math.comb`` over a
+        row far longer than the per-composition cases reach."""
+        ((head, r, xs, factor, row),) = _terms(1000, 2, [1, 1])
+        assert (head, r, xs, factor) == ((), 1000, range(1001), 1)
+        assert row == [math.comb(1000, x) for x in range(1001)]
+
 
 # -- structural identities over the full composition set --------------------
 

@@ -8,12 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boltzkit import (
+    EnergySpectrum,
     EntropyValue,
     Macrostate,
     ProbabilityVector,
     boltzmann_shannon_entropy,
     einstein_probability,
     exact_boltzmann_entropy,
+    generalized_distribution,
     kl_cross_entropy,
     kl_divergence,
     log_macrostate_probability,
@@ -29,7 +31,14 @@ from boltzkit.oracle import round_to_macrostate
 
 class TestShannonEntropy:
     def test_deterministic_distribution(self):
-        assert shannon_entropy(ProbabilityVector([1.0, 0.0])).value == 0.0
+        # a point mass's -sum(p ln p) is +0.0, not -0.0
+        for entropy in (shannon_entropy(ProbabilityVector([1.0, 0.0])),
+                        shannon_entropy(ProbabilityVector([1.0])),
+                        shannon_entropy(ProbabilityVector([0.0, 1.0]), k=2.0),
+                        stirling_entropy(Macrostate([0, 7])),
+                        boltzmann_shannon_entropy(Macrostate([1, 0]))):
+            assert entropy.value == 0.0, entropy
+            assert math.copysign(1.0, entropy.value) == 1.0, entropy
 
     def test_uniform_two_level(self):
         got = shannon_entropy(ProbabilityVector([0.5, 0.5]))
@@ -124,6 +133,17 @@ class TestKullbackLeibler:
         assert kl_cross_entropy(p, uniform_prior(2), N=2) == pytest.approx(
             -2 * math.log(2), abs=1e-12
         )
+
+    def test_rounding_below_zero_is_clamped(self):
+        # the beta = 0 distribution on levels 0..3 is the prior up to rounding;
+        # its summed divergence rounds to -4.4e-17
+        prior = ProbabilityVector([0.4, 0.3, 0.2, 0.1])
+        p = generalized_distribution(EnergySpectrum([0, 1, 2, 3]), prior, 0.0)
+        assert p.distribution.entries != prior.entries
+        assert kl_loop(p.distribution.entries, prior.entries) < 0.0
+        d = kl_divergence(p.distribution, prior)
+        assert d == 0.0 and math.copysign(1.0, d) == 1.0
+        assert kl_divergence(prior, prior) == 0.0
 
     def test_support_violation(self):
         with pytest.raises(ValidationError, match="where the reference distribution"):

@@ -94,6 +94,14 @@ class TestGeneralizedDistribution:
         for got, want in zip(sol.distribution.entries, prior.entries):
             assert got == pytest.approx(want, abs=1e-14)
 
+    def test_point_mass_entropy_is_positive_zero(self):
+        one, four = EnergySpectrum([0.0]), EnergySpectrum([0.0, 1.0, 2.0, 3.0])
+        for sol in (generalized_distribution(one, uniform_prior(1), 1.0),
+                    generalized_distribution(four, uniform_prior(4), 1e308),
+                    boltzmann_distribution(four, -1e300)):
+            assert sol.distribution.entries.count(1.0) == 1
+            assert math.copysign(1.0, sol.entropy_per_particle) == 1.0
+
     def test_weighted_point(self):
         prior = ProbabilityVector([1 / 3, 2 / 3])
         sol = generalized_distribution(TWO_LEVEL, prior, 1.0)

@@ -60,6 +60,17 @@ def test_no_cap_or_digits_parameter():
     assert found == []
 
 
+def test_one_cap_constant():
+    caps = [
+        f"{module}.{name.id}" for module, tree in TREES.items()
+        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and name.id.endswith("_CAP")
+    ]
+    assert caps == ["combinatorics.DEFAULT_SIZE_CAP"]
+
+
 def test_only_combinatorics_applies_the_size_cap():
     callers = {
         module for module, tree in TREES.items() for node in ast.walk(tree)

@@ -62,6 +62,13 @@ def test_format_fraction():
     assert format_fraction(Fraction(1)) == "1"
     assert format_fraction(Fraction(3, 2)) == "1.5"
     assert format_fraction(Fraction(1, 3)).startswith("0.3333333333333")
+    # 7**20000 has 16,902 digits, past the 4,300 that str() of an int allows
+    value = 7**20000
+    digits = format_fraction(Fraction(value))
+    assert len(digits) == 16902 and digits.isdigit()
+    assert int(digits[:4000]) == value // 10**12902
+    assert int(digits[-4000:]) == value % 10**4000
+    assert format_fraction(Fraction(-(10**5000))) == "-1" + "0" * 5000
 
 
 class TestNormalizationAndMeans:
@@ -363,24 +370,43 @@ class TestEinsteinConvergence:
 
 class TestWeightDominance:
     def test_known_first_ratio(self):
-        reports = check_weight_dominance(2, (10, 100, 1000))
+        schedule = (10, 100, 1000, 10000)
+        reports = check_weight_dominance(2, schedule)
         assert reports[0].approx_value == pytest.approx(
             math.log(252) / (10 * math.log(2)), abs=1e-12
         )
         assert all(r.passed for r in reports)
+        assert [r.exact_value for r in reports] == [
+            str(math.comb(total, total // 2)) for total in schedule]
         ratios = [r.approx_value for r in reports]
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
 
-    def test_exact_mode_records_the_integer(self):
-        reports = check_weight_dominance(2, (10,))
-        assert reports[0].exact_value == "252"
+    @pytest.mark.parametrize("total", [10, 1000])
+    def test_exact_mode_records_the_integer(self, total):
+        (report,) = check_weight_dominance(2, (total,))
+        assert report.exact_value == str(math.comb(total, total // 2))
 
-    def test_dropping_the_maximal_weight_fails(self, drop_members):
-        """The exact scan sees every composition: without (5, 5), whose
-        weight 252 is the maximum, another W_max is reported."""
-        drop_members([(5, 5)])
-        reports = check_weight_dominance(2, (10,))
-        assert reports[0].exact_value != "252"
+    @pytest.mark.parametrize("total", [10, 1000])
+    def test_dropping_the_maximal_weight_fails(self, drop_members, total):
+        """The exact scan sees every composition at every N: without the
+        balanced vector, whose weight C(N, N/2) is the maximum, the next
+        largest weight C(N, N/2 - 1) is reported."""
+        drop_members([(total // 2, total // 2)])
+        (report,) = check_weight_dominance(2, (total,))
+        assert report.exact_value == str(math.comb(total, total // 2 - 1))
+
+    def test_weight_beyond_the_int_str_digit_limit(self):
+        # C(20000, 10000) has 6,019 digits; str() of an int refuses 4,301
+        (report,) = check_weight_dominance(2, (20000,))
+        digits = report.exact_value
+        assert len(digits) == 6019 and digits.isdigit()
+        assert int(digits[:4300]) == math.comb(20000, 10000) // 10**1719
+        assert report.passed
+
+    def test_set_above_the_size_cap_is_refused(self):
+        # n = 4 at N = 1,000 holds C(1003, 3) = 1.677e+8 compositions
+        with pytest.raises(ValidationError, match="1.677e[+]8 compositions exceed"):
+            check_weight_dominance(4, (1000,))
 
     def test_zero_previous_ratio_returns_reports(self):
         # N = 1 has W_max = 1, so the first ratio is 0
