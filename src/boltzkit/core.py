@@ -39,17 +39,41 @@ def _reals(values: Iterable, what: str) -> tuple[float, ...]:
         raise ValidationError(f"{what} must be real numbers: {exc}") from None
 
 
-def _total(values: tuple[float, ...]) -> float:
-    """Exact sum; one beyond float range is inf, which cannot be 1."""
+#: Entries from which _fsum extracts in numpy instead of calling math.fsum.
+_FSUM_ARRAY_MIN = 450
+
+
+def _fsum(a) -> float:
+    """math.fsum(a.tolist()) for a float64 array: the same bits, sign of zero
+    and errors. By error-free extraction (Rump, Ogita and Oishi 2008): with
+    max|a| < 2**e and sigma = 2**(e + bit_length(n) + 1), q = (a + sigma) -
+    sigma, a - q and q.sum() are exact; fsum rounds the sums of q once."""
+    n = len(a)
+    if n < _FSUM_ARRAY_MIN:
+        return math.fsum(a.tolist())
+    import numpy as np
+    limit, parts = math.ldexp(1.0, 1022 - n.bit_length()), []
+    while top := float(np.abs(a).max(initial=0.0)):
+        if not top < limit:  # sigma would overflow, or a holds inf or nan
+            return math.fsum(parts + a.tolist())
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + n.bit_length() + 1)
+        q = (a + sigma) - sigma
+        parts.append(float(q.sum()))
+        a = a - q
+    return math.fsum(parts or a.tolist())  # all zeros: fsum's sign of zero
+
+
+def _total(values) -> float:
+    """Exact sum of a tuple or an array; beyond float range, inf (never 1)."""
     try:
-        return math.fsum(values)
+        return math.fsum(values) if isinstance(values, tuple) else _fsum(values)
     except OverflowError:
         return math.inf
 
 
 def _check_probabilities(values, known_nonnegative=False, tol=PROB_SUM_TOL) -> float:
     """The sum of the entries, after ProbabilityVector's checks. A caller that
-    has seen every entry >= 0 (an array test) skips the per-entry one."""
+    tested every entry >= 0 on its array skips that check, passing the array."""
     _some_levels(values, "probability vector needs at least one entry")
     if not known_nonnegative:
         for x in values:
@@ -165,7 +189,8 @@ class ProbabilityVector(_Floats):
         """A vector over a float64 array that it keeps, made read-only: the
         constructor's checks as array operations, for kernel-built arrays."""
         values = tuple(array.tolist())
-        _check_probabilities(values, bool((array >= 0.0).all()))
+        nonnegative = bool((array >= 0.0).all())
+        _check_probabilities(array if nonnegative else values, nonnegative)
         vector = object.__new__(cls)
         object.__setattr__(vector, "entries", values)
         array.flags.writeable = False

@@ -14,7 +14,7 @@ from itertools import repeat
 from typing import Iterable, Sequence
 
 from .combinatorics import _log_weight
-from .core import Macrostate, ProbabilityVector, _boltzmann_k, _same_length, _size
+from .core import Macrostate, ProbabilityVector, _boltzmann_k, _fsum, _same_length, _size
 from .errors import ValidationError
 
 #: Tolerance on sum(mean occupations) == N.
@@ -93,7 +93,7 @@ def kl_divergence(
         raise ValidationError(f"mass {float(a[i])!r} where the reference "
                               f"distribution has {float(b[i])!r}")
     a, b = a[mass], b[mass]
-    return max(0.0, math.fsum((a * np.log(a / b)).tolist()))  # below 0: rounding
+    return max(0.0, _fsum(a * np.log(a / b)))  # below 0: rounding
 
 
 def kl_cross_entropy(

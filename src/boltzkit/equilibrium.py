@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EnergySpectrum, ProbabilityVector, _boltzmann_k, _same_length, _size
+from .core import (EnergySpectrum, ProbabilityVector, _boltzmann_k, _fsum,
+                   _same_length, _size)
 from .errors import InfeasibleError, NumericError, ValidationError
 
 
@@ -64,21 +65,25 @@ def _exponential_family(
     if not math.isfinite(beta):
         raise ValidationError(f"beta must be finite, got {beta!r}")
     support = np.isfinite(log_prior)
-    supported = energies[support]
-    anchor = float(supported.min() if beta >= 0.0 else supported.max())
+    gaps = not support.all()
+    extreme, far = (np.minimum, np.inf) if beta >= 0.0 else (np.maximum, -np.inf)
+    anchor = float(extreme.reduce(energies, initial=far, where=support) if gaps
+                   else extreme.reduce(energies))
     with np.errstate(over="ignore", invalid="ignore"):
         decay = beta * (energies - anchor) if beta else 0.0  # 0 * inf is 0
-        log_w = np.where(support, log_prior - decay, -np.inf)
+        log_w = log_prior - decay
+    if gaps:  # -inf - -inf is nan where an unsupported level's decay overflows
+        log_w[~support] = -np.inf
     shift = float(log_w.max())
-    w = np.exp(log_w - shift)
-    total = float(np.sum(w))
+    p = np.exp(log_w - shift)  # w, normalized in place below
+    total = float(np.sum(p))
     log_partition = shift + math.log(total) - beta * anchor
     if not math.isfinite(log_partition):
         raise NumericError(
             f"ln Z_w = {log_partition} at beta={beta}: the prior-weighted "
             "partition sum is beyond float range"
         )
-    p = w / total
+    p /= total
     return p, log_partition, float(np.dot(p, energies))
 
 
@@ -241,7 +246,7 @@ def _prior_entropy(prior: ProbabilityVector, log_prior: np.ndarray) -> float:
     """H(prior) = -sum(p0 ln p0), the unequal-priors form's beta-free term."""
     if not (prior._array > 0.0).all():
         raise ValidationError("formula requires strictly positive priors")
-    return -math.fsum((prior._array * log_prior).tolist())
+    return -_fsum(prior._array * log_prior)
 
 
 def equilibrium_entropy_uniform(

@@ -179,6 +179,30 @@ class TestSweep:
         assert body[0][0] == "0" and body[0][header.index("kl_to_prior")] == "0"
         assert all(float(row[-1]) > 0.0 for row in body[1:])
 
+    def test_zero_prior_leaves_only_equilibrium_entropy_empty(self, tmp_path):
+        # the closed form needs ln p0 on every level; the other columns,
+        # like distribution's, do not
+        path = tmp_path / "spec.json"
+        path.write_text('{"levels": [0, 1], "priors": [1, 0], "N": 3}')
+        grid = ("--spec", str(path), "--from", "0", "--to", "2", "--points", "3")
+        code, out = run_main("sweep", *grid)
+        assert code == 0
+        header, body = parse_csv(out.encode())
+        column = header.index("equilibrium_entropy")
+        assert [row[column] for row in body] == ["", "", ""]
+        assert [row[:column] + row[column + 1:] for row in body] == [
+            ["0", "", "0", "0", "0", "0"],
+            ["1", "1", "0", "0", "0", "0"],
+            ["2", "0.5", "0", "0", "0", "0"],
+        ]
+        _, dist = run_main("distribution", "--spec", str(path), "--beta", "2")
+        assert parse_csv(dist.encode())[1][0][4:] == body[2][2:5]
+        code, lines = run_main("sweep", *grid, "--format", "json")
+        assert code == 0
+        rows = [strict_json(line) for line in lines.splitlines()]
+        assert [row["equilibrium_entropy"] for row in rows] == [None] * 3
+        assert rows[1]["temperature"] == 1.0 and rows[0]["temperature"] is None
+
     def test_log_spacing_from_zero_exits_2(self, uniform_spec):
         code, out = run_main("sweep", "--spec", uniform_spec, "--from", "0",
                              "--to", "1", "--points", "3", "--spacing", "log")

@@ -20,6 +20,7 @@ from boltzkit import (
     uniform_prior,
     validate_spec,
 )
+from boltzkit import core
 from boltzkit.core import load_spec
 from boltzkit.errors import (
     InvalidCount,
@@ -149,6 +150,86 @@ class TestKernelBuiltVector:
         assert all(type(x) is float for x in v.entries)
         assert v == ProbabilityVector([0.125, 0.0, 0.875])
         assert hash(v) == hash(ProbabilityVector([0.125, 0.0, 0.875]))
+
+    @pytest.mark.parametrize("n", [2, 2000])
+    def test_sum_beyond_float_range_at_any_size(self, n):
+        # fsum overflows on either side of the array-extraction crossover
+        entries = [1e308] * n
+        with pytest.raises(PriorSumMismatch) as public:
+            ProbabilityVector(entries)
+        with pytest.raises(PriorSumMismatch) as internal:
+            ProbabilityVector._adopt(np.array(entries))
+        assert str(internal.value) == str(public.value) == (
+            "probabilities sum to inf, not 1 within 1e-12")
+
+
+def _fsum_result(f, values):
+    """f(values) as (value, sign bit), or as the error it raises."""
+    try:
+        x = f(values)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+    return ("nan", 0) if math.isnan(x) else (x, math.copysign(1.0, x))
+
+
+def _fsum_cases():
+    """Seeded float64 arrays, by class, on both sides of the crossover."""
+    rng = np.random.default_rng(1717)
+    sizes = [0, 1, 2, core._FSUM_ARRAY_MIN - 1, core._FSUM_ARRAY_MIN, 2000]
+    for n in sizes:
+        p = rng.uniform(0.05, 1.0, n)
+        p /= max(p.sum(), 1.0)
+        near = p * (1.0 + 1e-9 * rng.standard_normal(n))
+        half = rng.standard_normal(n // 2)
+        big = rng.uniform(-1.0, 1.0, n)
+        big[:min(n, 3)] = 1e307
+        yield from {
+            "uniform": rng.uniform(0.0, 1.0, n),
+            "wide": rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n),
+            "subnormal": rng.integers(-1000, 1000, n) * 5e-324,
+            "cancelling": rng.permutation(np.concatenate([half, -half, [1e-300] * (n % 2)])),
+            "negative zero": np.full(n, -0.0),
+            "near 1e307": rng.permutation(big),
+            "kl terms": p * np.log(p / near),
+        }.items()
+
+
+class TestExactSum:
+    """``core._fsum``: math.fsum over a float64 array, bit for bit."""
+
+    @given(st.lists(st.floats(width=64), max_size=40), st.integers(1, 60))
+    def test_equals_fsum_in_both_branches(self, xs, copies):
+        # a copy of the list repeated to 40 x 60 entries reaches the
+        # extraction branch; the same sign of zero, the same error
+        for values in (xs, xs * copies):
+            want = _fsum_result(math.fsum, values)
+            assert _fsum_result(core._fsum, np.array(values, dtype=float)) == want
+
+    @pytest.mark.parametrize("array_min", [0, None, 10**9],
+                             ids=["extraction", "crossover", "fsum"])
+    def test_seeded_classes(self, monkeypatch, array_min):
+        cases = list(_fsum_cases())
+        if array_min is not None:
+            monkeypatch.setattr(core, "_FSUM_ARRAY_MIN", array_min)
+        off = 0
+        for kind, a in cases:
+            want = _fsum_result(math.fsum, a.tolist())
+            assert _fsum_result(core._fsum, a) == want, (kind, len(a))
+            off += want[0] != float(np.sum(a))
+        assert off >= 5  # a pairwise numpy sum fails on these arrays
+
+    @pytest.mark.parametrize("copies", [1, 1000])
+    def test_overflow_is_fsums(self, copies):
+        values = [1e308, 1e308, -1e308] * copies
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            math.fsum(values)
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            core._fsum(np.array(values))
+
+    def test_empty_and_one_entry(self):
+        assert _fsum_result(core._fsum, np.array([])) == (0.0, 1.0)
+        assert _fsum_result(core._fsum, np.array([-0.0])) == _fsum_result(math.fsum, [-0.0])
+        assert core._fsum(np.array([5e-324])) == 5e-324
 
 
 def _values(x):

@@ -1,6 +1,7 @@
 """Equilibrium distributions, the beta solver, and entropy formulas."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,36 @@ class TestGeneralizedDistribution:
         prior = ProbabilityVector([0.5, 0.0, 0.5])
         sol = generalized_distribution(EnergySpectrum([0, 1, 2]), prior, 1.3)
         assert sol.distribution.entries[1] == 0.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zero_prior_extreme_level_is_not_the_anchor(self, sign):
+        # the unsupported level is the lowest (beta > 0) or the highest
+        # (beta < 0); anchored there, every supported decay would overflow
+        spectrum = EnergySpectrum([sign * x for x in (-2.0, 0.0, 1.0)])
+        prior = ProbabilityVector([0.0, 0.5, 0.5])
+        sol = generalized_distribution(spectrum, prior, sign * 1e308)
+        assert sol.distribution.entries == (0.0, 1.0, 0.0)
+        assert sol.log_partition == math.log(0.5)
+        assert sol.mean_energy == 0.0
+
+    @pytest.mark.parametrize("n", [3, 2000])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_unsupported_decay_overflow_leaves_exact_zeros(self, n, sign):
+        # beta (E - anchor) is -inf on the unsupported levels: ln 0 minus it
+        # would be nan, yet p is exactly 0 there and nothing warns
+        levels = np.linspace(0.0, 1.0, n)
+        levels[::2] = -100.0
+        weights = np.where(levels < 0.0, 0.0, 1.0)
+        spectrum = EnergySpectrum(sign * levels)
+        prior = ProbabilityVector(weights / weights.sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = generalized_distribution(spectrum, prior, sign * 1e307)
+        p = np.array(sol.distribution.entries)
+        assert not np.isnan(p).any()
+        assert (p[weights == 0.0] == 0.0).all()
+        assert p[1] == 1.0  # the lowest supported energy, at sign * levels[1]
+        assert math.isfinite(sol.log_partition)
 
     def test_uniform_prior_reduces_to_plain_boltzmann(self):
         rng = np.random.default_rng(5)

@@ -5,7 +5,8 @@ truncation, total and occupation alike) and at-least-one-entry errors are
 raised once, in ``core``. The exact-enumeration cap is one constant, not a
 parameter, and ``core`` imports nothing that loads numpy. Every error class
 below the families names a rule of ``core``; other modules raise a family.
-Only ``combinatorics`` applies the cap.
+Only ``combinatorics`` applies the cap, and only ``core._fsum`` sums an
+array exactly.
 """
 
 import ast
@@ -106,3 +107,18 @@ def test_core_imports_no_numpy():
         assert "numpy" not in imports, module
         todo.extend(name[1:] for name in imports if name.startswith("."))
     assert seen == {"__init__", "core", "errors"}
+
+
+def test_one_exact_array_sum():
+    # an exact sum over an array is core._fsum's; no other function makes a
+    # list of an array for math.fsum
+    found = [
+        f"{module}.{func.name}" for module, tree in TREES.items()
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "fsum"
+        and any(isinstance(sub, ast.Attribute) and sub.attr == "tolist"
+                for arg in node.args for sub in ast.walk(arg))
+    ]
+    assert set(found) == {"core._fsum"}
