@@ -14,7 +14,8 @@ from itertools import repeat
 from typing import Iterable, Sequence
 
 from .combinatorics import _log_weight
-from .core import Macrostate, ProbabilityVector, _boltzmann_k, _fsum, _same_length, _size
+from .core import (Macrostate, ProbabilityVector, _boltzmann_k, _fsum, _same_length,
+                   _size)
 from .errors import ValidationError
 
 #: Tolerance on sum(mean occupations) == N.
