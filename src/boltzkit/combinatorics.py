@@ -11,7 +11,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import Macrostate, ProbabilityVector, _same_length, _size
 from .errors import ValidationError
@@ -133,19 +133,20 @@ def _runs(total: int, parts: int) -> Iterator[tuple[tuple[int, ...], int, range]
 
 
 def _terms(
-    total: int, parts: int, a: Sequence, log: bool = False
-) -> Iterator[tuple[tuple[int, ...], int, range, int | float, list]]:
-    """(head, r, xs, factor, row) for each run of ``_runs`` over the
+    total: int, parts: int, a: Sequence, fold: Callable, log: bool = False
+) -> Iterator[tuple[tuple[int, ...], int, Sequence[int], int | float, list, object]]:
+    """(head, r, xs, factor, row, folded) for each run of ``_runs`` over the
     composition set (total, parts), which must be within the size cap:
     member x's term W prod(a_i ** N_i) is factor * row[x], a big integer for
-    integer a_i. With ``log`` the a_i are ln a_i (-inf for a_i = 0) and ln
-    of the term is factor + row[x]. The caller computes each member's term.
+    integer a_i; with ``log`` the a_i are ln a_i (-inf for a_i = 0) and ln of
+    the term is factor + row[x]. ``folded`` is ``fold(xs, row)``, a sum or
+    max over the run's own members, for the caller to scale by the factor.
 
     A term is prod_i C(r_i, N_i) a_i ** N_i, r_i being the particles left for
     levels i.., so ``factor`` is the head's part and row[x] = C(r, x)
-    a[-2] ** x a[-1] ** (r - x), built once per set (per run, for up to
-    three levels, where no row recurs). An exact row takes its binomials from
-    C(r, x + 1) = C(r, x) (r - x) // (x + 1), an exact division."""
+    a[-2] ** x a[-1] ** (r - x), built with its fold once per r and xs (per
+    run, for up to three levels, where no row recurs). An exact row takes its
+    binomials from C(r, x + 1) = C(r, x) (r - x) // (x + 1), an exact division."""
     comps = CompositionSet(total, parts)
     comps.require_within_cap()
     total, parts = comps.total, comps.parts
@@ -163,13 +164,19 @@ def _terms(
     # a one-level set's phantom last level holds no particle: any a_i will do
     *lead, before, last = powers if parts > 1 else powers * 2
     keep, rows = parts > 3, {}  # no row recurs under a one-level head
+    done = None  # the head levels above the last: their part pf is redone on change
     for head, r, xs in _runs(total, parts):
-        factor, left = unit, total
-        for level, x in zip(lead, head):
-            factor = times(factor, times(choose(left, x), level[x]))
-            left -= x
-        row = rows.get(r)
-        if row is None:
+        if head[:-1] != done:
+            pf, left, done = unit, total, head[:-1]
+            for level, y in zip(lead, done):
+                pf = times(pf, times(choose(left, y), level[y]))
+                left -= y
+        factor = pf
+        if head:  # times the last head level's part, in the same order
+            x = head[-1]
+            factor = times(pf, times(choose(left, x), lead[-1][x]))
+        built = rows.get(r)
+        if built is None or built[0] != xs:
             if log:
                 row = [choose(r, x) + (before[x] + last[r - x]) for x in range(r + 1)]
             else:  # c = C(r, x)
@@ -177,9 +184,25 @@ def _terms(
                 for x in range(r + 1):
                     row.append(c * (before[x] * last[r - x]))
                     c = c * (r - x) // (x + 1)
+            built = xs, row, fold(xs, row)
             if keep:
-                rows[r] = row
-        yield head, r, xs, factor, row
+                rows[r] = built
+        _, row, folded = built
+        yield head, r, xs, factor, row, folded
+
+
+# folds for ``_terms``, each over the run's own members
+def _sum(xs: Sequence[int], row: list):
+    return sum(map(row.__getitem__, xs))
+
+
+def _sums(xs: Sequence[int], row: list):  # (sum of row[x], sum of x row[x])
+    terms = list(map(row.__getitem__, xs))
+    return sum(terms), sum(map(operator.mul, xs, terms))
+
+
+def _top(xs: Sequence[int], row: list):  # -inf for a run without members
+    return max(map(row.__getitem__, xs), default=-math.inf)
 
 
 def log_macrostate_probability(
@@ -214,6 +237,6 @@ def weight_ratio_probability(m: Macrostate) -> float:
     the test suite verifies independently), then converted to float. Equals
     the multinomial probability at the uniform prior.
     """
-    terms = _terms(m.total, len(m.occupations), [1] * len(m.occupations))
-    w_sum = sum(factor * row[x] for _, _, xs, factor, row in terms for x in xs)
+    terms = _terms(m.total, len(m.occupations), [1] * len(m.occupations), _sum)
+    w_sum = sum(factor * s for *_, factor, _, s in terms)
     return float(Fraction(_exact_weight(m.occupations), w_sum))

@@ -94,7 +94,14 @@ def kl_divergence(
         raise ValidationError(f"mass {float(a[i])!r} where the reference "
                               f"distribution has {float(b[i])!r}")
     a, b = a[mass], b[mass]
-    return max(0.0, _fsum(a * np.log(a / b)))  # below 0: rounding
+    with np.errstate(over="ignore"):
+        terms = np.log(a / b)
+    d = _fsum(a * terms)
+    if d == math.inf:  # some a / b overflowed: ln a - ln b there
+        over = terms == math.inf
+        terms[over] = np.log(a[over]) - np.log(b[over])
+        d = _fsum(a * terms)
+    return max(0.0, d)  # below 0: rounding
 
 
 def kl_cross_entropy(

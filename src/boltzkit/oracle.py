@@ -19,7 +19,9 @@ from typing import Sequence
 from .combinatorics import (
     _exact_weight,
     _log_priors,
+    _sums,
     _terms,
+    _top,
     macrostate_probability_exact,
 )
 from .core import (
@@ -104,8 +106,9 @@ def check_normalization_and_means(
     composition's integer term t = W * prod(a_i ** N_i) is factor * row[x]
     of its run from ``combinatorics._terms``. Every t adds to a sum that
     must come to D**N, and N_j t to one that must come to N q_j D**N: per
-    run, head level j gets head[j] sum(t), the run's two levels sum(x t) and
-    r sum(t) - sum(x t). Only these totals become fractions.
+    run, sum(t) and sum(x t) are the factor times its folds of row[x] and
+    x row[x]; head level j gets head[j] sum(t), the run's two levels sum(x t)
+    and r sum(t) - sum(x t). Only these totals become fractions.
 
     Floats are exact rationals, so the default path converts the stored
     prior exactly; pass ``exact_prior`` when the intended rational (say
@@ -120,12 +123,8 @@ def check_normalization_and_means(
     a = [q.numerator * (denominator // q.denominator) for q in prior]
     total_t = 0
     moments = [0] * max(n_levels, 2)  # zip with the priors drops a phantom level
-    for head, r, xs, factor, row in _terms(total_n, n_levels, a):
-        s = sx = 0
-        for x in xs:
-            t = factor * row[x]
-            s += t
-            sx += x * t
+    for head, r, _, factor, _, (s, sx) in _terms(total_n, n_levels, a, _sums):
+        s, sx = factor * s, factor * sx
         total_t += s
         for j, count in enumerate(head):
             moments[j] += count * s
@@ -186,8 +185,11 @@ def check_most_probable_state(spec: SystemSpec, beta: float) -> OracleReport:
     slack far above the rounding of the best score are compared exactly, by
     W prod(Fraction(p_i) ** N_i), and the first exact maximum in
     lexicographic order wins. So the result does not depend on how the float
-    sums are ordered. It must sit within max-norm n/N of the continuous
-    distribution. ``exact_value`` records the argmax vector.
+    sums are ordered. The screen keeps the runs whose best score, factor +
+    the max of their row entries, reaches the running floor, then scores
+    only their members against the final floor. The result must sit within
+    max-norm n/N of the continuous distribution. ``exact_value`` records
+    the argmax vector.
     """
     p = generalized_distribution(spec.spectrum, spec.prior, beta).distribution
     total_n = spec.particles
@@ -195,22 +197,24 @@ def check_most_probable_state(spec: SystemSpec, beta: float) -> OracleReport:
 
     # ln P sums terms of size up to ln N! + |ln P|, so its rounding is far below
     # this slack: the exact maximum is kept, a -inf (P = 0) never. One exact scan
-    # (Fraction(p_i) over their lcm, ~2**56) takes about 5x (4.4-7.1x) this
+    # (Fraction(p_i) over their lcm, ~2**56) takes about 2x (2.1-2.2x) this
     # screen on oracle-enum's instances.
     scale = 1.0 + 2.0 * math.lgamma(total_n + 1)
     top = floor = -math.inf
-    near: list[tuple[tuple[int, ...], float]] = []
+    runs: list[tuple] = []  # (score, head, r, xs, factor, row) reaching the floor
     log_p = _log_priors(p.entries)
-    for head, r, xs, factor, row in _terms(total_n, n_levels, log_p, log=True):
-        for x in xs:
-            lp = factor + row[x]
-            if lp >= floor and lp > -math.inf:
-                if lp > top:
-                    top, floor = lp, lp - 1e-9 * (scale + abs(lp))
-                    near = [c for c in near if c[1] >= floor]
-                near.append(((*head, x, r - x)[:n_levels], lp))  # drop a phantom
+    for head, r, xs, factor, row, peak in _terms(total_n, n_levels, log_p, _top, True):
+        lp = factor + peak  # exactly its best member's: rounding is monotone
+        if lp >= floor and lp > -math.inf:
+            if lp > top:
+                top, floor = lp, lp - 1e-9 * (scale + abs(lp))
+                runs = [run for run in runs if run[0] >= floor]
+            runs.append((lp, head, r, xs, factor, row))
+    near = [(*head, x, r - x)[:n_levels]  # drop a phantom
+            for _, head, r, xs, factor, row in runs for x in xs
+            if factor + row[x] >= floor]
     exact_p = [Fraction(q) for q in p.entries]
-    best = max((occ for occ, _ in near), key=lambda occ: macrostate_probability_exact(
+    best = max(near, key=lambda occ: macrostate_probability_exact(
         Macrostate(occ), exact_p))
     distance = max(abs(x / total_n - q) for x, q in zip(best, p.entries))
     tol = n_levels / total_n
@@ -272,8 +276,9 @@ def check_weight_dominance(n: int, n_schedule: Sequence[int]) -> list[OracleRepo
                 for total_n in schedule]
     points = []
     for total_n in schedule:  # the ratio is per particle
-        w_max = max(factor * row[x] for _, _, xs, factor, row
-                    in _terms(total_n, n, [1] * n) for x in xs)
+        # the head factor is a positive integer, so it scales each run's max
+        w_max = max(factor * run_max for *_, factor, _, run_max
+                    in _terms(total_n, n, [1] * n, _top))
         points.append((f"N={total_n} n={n}", format_fraction(Fraction(w_max)),
                        math.log(w_max) / (total_n * math.log(n))))
     return _schedule(name, points, increasing=True)

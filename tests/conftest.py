@@ -9,7 +9,8 @@ from boltzkit import combinatorics
 def drop_members(monkeypatch):
     """Plant a fault in the composition walk: after ``drop_members(lost)``,
     ``combinatorics._runs`` yields every run with the members in ``lost``
-    (occupation tuples) missing from its xs."""
+    (occupation tuples) missing from its xs, a tuple, so that it can key a
+    cache as a range does."""
     walk = combinatorics._runs
 
     def plant(lost):
@@ -17,8 +18,8 @@ def drop_members(monkeypatch):
 
         def runs(total, parts):
             for head, r, xs in walk(total, parts):
-                yield head, r, [x for x in xs
-                                if (*head, x, r - x)[:parts] not in lost]
+                yield head, r, tuple(x for x in xs
+                                     if (*head, x, r - x)[:parts] not in lost)
 
         monkeypatch.setattr(combinatorics, "_runs", runs)
 

@@ -203,6 +203,17 @@ class TestSweep:
         assert [row["equilibrium_entropy"] for row in rows] == [None] * 3
         assert rows[1]["temperature"] == 1.0 and rows[0]["temperature"] is None
 
+    def test_kl_to_prior_where_a_ratio_overflows(self, tmp_path):
+        # at beta = -737 the upper level holds mass far above its 1e-320 prior
+        path = tmp_path / "spec.json"
+        path.write_text('{"levels": [0, 1], "priors": [1.0, 1e-320], "N": 10}')
+        code, out = run_main("sweep", "--spec", str(path), "--from", "-737",
+                             "--to", "-736", "--points", "2")
+        assert code == 0
+        header, body = parse_csv(out.encode())
+        column = header.index("kl_to_prior")
+        assert [row[column] for row in body] == ["399.468680692", "223.549651474"]
+
     def test_log_spacing_from_zero_exits_2(self, uniform_spec):
         code, out = run_main("sweep", "--spec", uniform_spec, "--from", "0",
                              "--to", "1", "--points", "3", "--spacing", "log")

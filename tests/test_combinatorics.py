@@ -26,7 +26,10 @@ from boltzkit.combinatorics import (
     _log_priors,
     _log_probability,
     _runs,
+    _sum,
+    _sums,
     _terms,
+    _top,
     log_macrostate_probability,
 )
 from boltzkit.errors import ValidationError
@@ -180,14 +183,17 @@ class TestWeightRatio:
         with pytest.raises(ValidationError, match="compositions exceed the cap"):
             weight_ratio_probability(Macrostate([100] * 5))
 
-    def test_dropping_any_one_composition_changes_the_ratio(self, drop_members):
+    @pytest.mark.parametrize("occ, size", [((2, 3, 1), 28), ((2, 1, 2, 1), 84)])
+    def test_dropping_any_one_composition_changes_the_ratio(self, drop_members,
+                                                            occ, size):
         """The weight sum sees every composition: without any one of them,
-        missing from its run, the ratio is no longer W / n**N."""
-        m = Macrostate([2, 3, 1])
-        want = float(Fraction(brute_weight(m.occupations), 3**6))
+        missing from its run, the ratio is no longer W / n**N. Four levels
+        share rows between runs, and each run must still sum its own."""
+        m = Macrostate(occ)
+        want = float(Fraction(brute_weight(occ), len(occ) ** 6))
         assert weight_ratio_probability(m) == want
-        members = list(CompositionSet(6, 3).iter_tuples())
-        assert len(members) == 28
+        members = list(CompositionSet(6, len(occ)).iter_tuples())
+        assert len(members) == size
         for member in members:
             drop_members([member])
             assert weight_ratio_probability(m) != want, member
@@ -195,6 +201,11 @@ class TestWeightRatio:
 
 #: integer per-level weights a_i for the term scan, zeros included
 TERM_WEIGHTS = [(1, 1, 1, 1, 1), (3, 0, 2, 1, 5), (0, 4, 1, 0, 2), (7, 2, 0, 0, 0)]
+
+
+def folds(xs, row):
+    """Every fold the scans use, at once."""
+    return _sum(xs, row), _sums(xs, row), _top(xs, row)
 
 
 class TestTerms:
@@ -207,14 +218,15 @@ class TestTerms:
         for weights in TERM_WEIGHTS:
             a = weights[:parts]
             log_a = _log_priors(a)
-            exact = list(_terms(total, parts, a))
-            logs = list(_terms(total, parts, log_a, log=True))
+            exact = list(_terms(total, parts, a, folds))
+            logs = list(_terms(total, parts, log_a, _top, log=True))
             assert [run[:3] for run in exact] == [run[:3] for run in logs]
             assert [run[:3] for run in exact] == list(_runs(total, parts))
             members = []
-            for (head, r, xs, factor, row), (_, _, _, log_factor, log_row) in zip(
-                exact, logs
-            ):
+            for (head, r, xs, factor, row, folded), (
+                _, _, _, log_factor, log_row, log_folded
+            ) in zip(exact, logs):
+                terms, log_terms = [], []
                 for x in xs:
                     occ = (*head, x, r - x)[:parts]
                     members.append(occ)
@@ -222,20 +234,42 @@ class TestTerms:
                     for ai, count in zip(a, occ):
                         want *= ai**count
                     assert factor * row[x] == want, (a, occ)
+                    terms.append(want)
                     want = _log_probability(occ, log_a)
                     value = log_factor + log_row[x]
                     if want == -math.inf:
                         assert value == -math.inf, (a, occ)
                     else:
                         assert abs(value - want) <= 1e-12, (a, occ)
+                    log_terms.append(value)
+                # each fold is the sum or max over this run's own members;
+                # in log mode only the max is meaningful
+                t_sum, (t_sum2, x_sum), t_top = folded
+                assert factor * t_sum == factor * t_sum2 == sum(terms), (a, head)
+                assert factor * x_sum == sum(x * t for x, t in zip(xs, terms))
+                assert factor * t_top == max(terms), (a, head)
+                # rounding is monotone: the best member's score, exactly
+                assert log_factor + log_folded == max(log_terms), (a, head)
             assert members == walk
+
+    @pytest.mark.parametrize("log", [False, True])
+    @pytest.mark.parametrize("parts", range(1, 6))
+    def test_a_run_without_members_folds_to_nothing(self, drop_members, parts, log):
+        """Only a planted drop empties a run: its sums are 0, its top -inf."""
+        head, r, xs = list(_runs(4, parts))[-1]
+        drop_members([(*head, x, r - x)[:parts] for x in xs])
+        a = [1] * parts
+        runs = list(_terms(4, parts, _log_priors(a) if log else a, folds, log=log))
+        assert [run[:3] for run in runs if not run[2]] == [(head, r, ())]
+        assert runs[-1][-1] == (0, (0, 0), -math.inf)
 
     def test_one_long_row(self):
         """The exact row's binomial recurrence against ``math.comb`` over a
         row far longer than the per-composition cases reach."""
-        ((head, r, xs, factor, row),) = _terms(1000, 2, [1, 1])
+        ((head, r, xs, factor, row, total),) = _terms(1000, 2, [1, 1], _sum)
         assert (head, r, xs, factor) == ((), 1000, range(1001), 1)
         assert row == [math.comb(1000, x) for x in range(1001)]
+        assert total == 2**1000
 
 
 # -- structural identities over the full composition set --------------------

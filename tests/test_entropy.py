@@ -150,6 +150,16 @@ class TestKullbackLeibler:
             kl_divergence(ProbabilityVector([0.5, 0.5]),
                           ProbabilityVector([1.0, 0.0]))
 
+    def test_ratio_beyond_float_range(self):
+        # 0.5 / 1e-320 overflows, but its term 0.5 (ln 0.5 - ln 1e-320) does not
+        want = math.fsum([0.5 * math.log(0.5 / (1 - 1e-320)),
+                          0.5 * (math.log(0.5) - math.log(1e-320))])
+        assert want == 367.7204732649271
+        assert kl_divergence([0.5, 0.5], [1 - 1e-320, 1e-320]) == want
+        p = ProbabilityVector([0.25, 0.25, 0.5])
+        assert kl_divergence(p, [0.5, 1e-320, 0.5]) == math.fsum([
+            0.25 * math.log(0.5), 0.25 * (math.log(0.25) - math.log(1e-320)), 0.0])
+
     @given(
         st.integers(min_value=2, max_value=8),
         st.integers(min_value=0, max_value=2**32 - 1),

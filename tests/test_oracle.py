@@ -177,6 +177,22 @@ class TestNormalizationAndMeans:
         assert reports[0].passed is False
         assert reports[0].exact_value != "1"
 
+    def test_dropping_any_four_level_composition_fails(self, drop_members):
+        """Four levels share rows between runs, and each run must still sum
+        its own members: losing any one of the 84 fails the normalization."""
+        spec = SystemSpec(
+            spectrum=EnergySpectrum([0.0, 1.0, 2.0, 3.0]),
+            prior=ProbabilityVector([0.5, 0.25, 0.125, 0.125]),
+            particles=6,
+        )
+        assert all(r.passed for r in check_normalization_and_means(spec))
+        members = list(combinatorics.CompositionSet(6, 4).iter_tuples())
+        assert len(members) == 84
+        for member in members:
+            drop_members([member])
+            reports = check_normalization_and_means(spec)
+            assert reports[0].passed is False, member
+
     def test_size_guard(self):
         spec = SystemSpec(
             spectrum=EnergySpectrum([0.0] * 5),
@@ -303,6 +319,29 @@ class TestMostProbableState:
         drop_members([argmax])
         assert check_most_probable_state(spec, beta).exact_value != str(list(argmax))
 
+    def test_dropping_any_four_level_composition(self, drop_members):
+        """With any one of the 84 compositions lost from its run, the scan
+        reports the first exact argmax of the other 83; without the argmax
+        another composition is reported."""
+        spec = SystemSpec(
+            spectrum=EnergySpectrum([0.0, 0.4, 1.1, 2.0]),
+            prior=ProbabilityVector([0.4, 0.3, 0.2, 0.1]),
+            particles=6,
+        )
+        p = generalized_distribution(spec.spectrum, spec.prior, 1.0).distribution
+        exact_p = [Fraction(q) for q in p.entries]
+        members = list(combinatorics.CompositionSet(6, 4).iter_tuples())
+        prob = {occ: macrostate_probability_exact(Macrostate(occ), exact_p)
+                for occ in members}
+        argmax = max(members, key=prob.get)
+        assert check_most_probable_state(spec, 1.0).exact_value == str(list(argmax))
+        for member in members:
+            drop_members([member])
+            want = max((occ for occ in members if occ != member), key=prob.get)
+            got = check_most_probable_state(spec, 1.0).exact_value
+            assert got == str(list(want)), member
+            assert (got == str(list(argmax))) is (member != argmax)
+
     def test_size_guard(self):
         spec = SystemSpec(
             spectrum=EnergySpectrum([0.0] * 5),
@@ -394,6 +433,24 @@ class TestWeightDominance:
         drop_members([(total // 2, total // 2)])
         (report,) = check_weight_dominance(2, (total,))
         assert report.exact_value == str(math.comb(total, total // 2 - 1))
+
+    def test_dropping_four_level_compositions(self, drop_members):
+        """Four levels share rows between runs, and each run must still take
+        the max of its own members: with any one of the 84 compositions
+        lost, W_max is the largest weight of the other 83, and without the
+        six permutations of (2, 2, 1, 1) it falls from 180 to 120."""
+        members = list(combinatorics.CompositionSet(6, 4).iter_tuples())
+        weight = {occ: combinatorics._exact_weight(occ) for occ in members}
+        for member in members:
+            drop_members([member])
+            (report,) = check_weight_dominance(4, (6,))
+            want = max(w for occ, w in weight.items() if occ != member)
+            assert report.exact_value == str(want), member
+        top = [occ for occ, w in weight.items() if w == 180]
+        assert len(top) == 6
+        drop_members(top)
+        (report,) = check_weight_dominance(4, (6,))
+        assert report.exact_value == "120"
 
     def test_weight_beyond_the_int_str_digit_limit(self):
         # C(20000, 10000) has 6,019 digits; str() of an int refuses 4,301
