@@ -181,15 +181,13 @@ def check_most_probable_state(spec: SystemSpec, beta: float) -> OracleReport:
     equilibrium distribution.
 
     The per-particle prior is the generalized equilibrium distribution p at
-    beta. Every composition is scored by its float ln P; those within a
-    slack far above the rounding of the best score are compared exactly, by
-    W prod(Fraction(p_i) ** N_i), and the first exact maximum in
-    lexicographic order wins. So the result does not depend on how the float
-    sums are ordered. The screen keeps the runs whose best score, factor +
-    the max of their row entries, reaches the running floor, then scores
-    only their members against the final floor. The result must sit within
-    max-norm n/N of the continuous distribution. ``exact_value`` records
-    the argmax vector.
+    beta. Compositions are scored by their float ln P, a run at a time: only
+    runs whose best score (factor + the max of their row) reaches the floor
+    have their members scored. Those within a slack far above the rounding
+    of the best score are compared exactly, by W prod(Fraction(p_i) ** N_i),
+    and the first exact maximum in lexicographic order wins, whatever the
+    order of the float sums. It must sit within max-norm n/N of the
+    continuous distribution. ``exact_value`` records the argmax vector.
     """
     p = generalized_distribution(spec.spectrum, spec.prior, beta).distribution
     total_n = spec.particles
