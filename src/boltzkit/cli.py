@@ -117,7 +117,7 @@ def _inverse(x: float, k: float) -> float | None:
     return None if x == 0.0 else (1.0 / kx if kx else math.copysign(math.inf, x))
 
 
-def _entropy_head(spec: SystemSpec, log_prior) -> float | None:
+def _entropy_head(spec: SystemSpec, log_prior, support) -> float | None:
     """The beta-free term of the closed equilibrium-entropy form: ln n + ln n
     at a uniform prior (ln Z = ln Z_w + ln n there), H(prior) otherwise, and
     None where a prior is 0 (the form takes ln p0 of every level)."""
@@ -125,7 +125,7 @@ def _entropy_head(spec: SystemSpec, log_prior) -> float | None:
     n = spec.spectrum.count
     if max(abs(q - 1.0 / n) for q in spec.prior.entries) <= 1e-12:
         return 2.0 * math.log(n)
-    return None if 0.0 in spec.prior.entries else _prior_entropy(spec.prior, log_prior)
+    return None if support is not None else _prior_entropy(spec.prior, log_prior, None)
 
 
 def cmd_distribution(args, out) -> int:
@@ -151,13 +151,13 @@ def cmd_sweep(args, out) -> int:
         "beta", "temperature", "log_partition", "mean_energy",
         "gibbs_entropy", "equilibrium_entropy", "kl_to_prior",
     ]
-    arrays = _family_arrays(spec.spectrum, spec.prior)
-    head = _entropy_head(spec, arrays[1])
+    energies, log_prior, support = _family_arrays(spec.spectrum, spec.prior)
+    head = _entropy_head(spec, log_prior, support)
     k_n = spec.boltzmann_k * spec.particles
     rows = []
     for g in grid:
         beta = _inverse(g, spec.boltzmann_k) if temperature else g
-        p, log_z, mean, entropy = _summaries(*arrays, beta)
+        p, log_z, mean, entropy = _summaries(energies, log_prior, beta, support)
         s_equil = None if head is None else k_n * (head + beta * mean + log_z)
         rows.append([beta, _inverse(beta, spec.boltzmann_k), log_z, mean,
                      k_n * entropy, s_equil, kl_divergence(p, spec.prior)])

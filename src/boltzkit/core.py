@@ -53,12 +53,12 @@ def _fsum(a) -> float:
         return math.fsum(a.tolist())
     import numpy as np
     limit, parts = math.ldexp(1.0, 1022 - n.bit_length()), []
-    while top := float(np.abs(a).max(initial=0.0)):
+    while top := float(np.maximum.reduce(np.abs(a), initial=0.0)):
         if not top < limit:  # sigma would overflow, or a holds inf or nan
             return math.fsum(parts + a.tolist())
         sigma = math.ldexp(1.0, math.frexp(top)[1] + n.bit_length() + 1)
         q = (a + sigma) - sigma
-        parts.append(float(q.sum()))
+        parts.append(float(np.add.reduce(q)))
         a = a - q
     return math.fsum(parts or a.tolist())  # all zeros: fsum's sign of zero
 

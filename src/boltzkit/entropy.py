@@ -14,8 +14,8 @@ from itertools import repeat
 from typing import Iterable, Sequence
 
 from .combinatorics import _log_weight
-from .core import (Macrostate, ProbabilityVector, _boltzmann_k, _fsum, _same_length,
-                   _size)
+from .core import (Macrostate, ProbabilityVector, _boltzmann_k, _same_length, _size,
+                   _total)
 from .errors import ValidationError
 
 #: Tolerance on sum(mean occupations) == N.
@@ -93,14 +93,15 @@ def kl_divergence(
         i = int(outside.argmax())
         raise ValidationError(f"mass {float(a[i])!r} where the reference "
                               f"distribution has {float(b[i])!r}")
-    a, b = a[mass], b[mass]
-    with np.errstate(over="ignore"):
+    if not mass.all():
+        a, b = a[mass], b[mass]
+    with np.errstate(over="ignore"):  # a D beyond float range is inf
         terms = np.log(a / b)
-    d = _fsum(a * terms)
-    if d == math.inf:  # some a / b overflowed: ln a - ln b there
-        over = terms == math.inf
-        terms[over] = np.log(a[over]) - np.log(b[over])
-        d = _fsum(a * terms)
+        d = _total(a * terms)
+        if d == math.inf:  # some a / b overflowed: ln a - ln b there
+            over = terms == math.inf
+            terms[over] = np.log(a[over]) - np.log(b[over])
+            d = _total(a * terms)
     return max(0.0, d)  # below 0: rounding
 
 

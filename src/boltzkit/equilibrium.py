@@ -43,40 +43,43 @@ class EquilibriumSolution:
 
 def _family_arrays(
     spectrum: EnergySpectrum, prior: ProbabilityVector | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Energies and ln prior (-inf where a prior is 0); no prior means the
-    plain distribution, whose log-prior is 0 on every level."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Energies, ln prior (-inf where a prior is 0) and the support mask, None
+    when every prior is > 0; no prior means the plain distribution, whose
+    log-prior is 0 on every level."""
     energies = spectrum._array
     if prior is None:
-        return energies, np.zeros_like(energies)
+        return energies, np.zeros_like(energies), None
     _same_length(len(prior), spectrum.count, "priors")
     with np.errstate(divide="ignore"):
-        return energies, np.log(prior._array)
+        log_prior = np.log(prior._array)
+    support = np.isfinite(log_prior)
+    return energies, log_prior, None if support.all() else support
 
 
 def _exponential_family(
-    energies: np.ndarray, log_prior: np.ndarray, beta: float
+    energies: np.ndarray, log_prior: np.ndarray, beta: float,
+    support: np.ndarray | None,
 ) -> tuple[np.ndarray, float, float]:
-    """p_i = exp(log_prior_i - beta E_i) / Z_w, ln Z_w and <E>.
+    """p_i = exp(log_prior_i - beta E_i) / Z_w, ln Z_w and <E>, with
+    ``_family_arrays``' support mask.
 
     ln Z_w = shift + ln(sum w) - beta anchor, where the anchor is the
     supported level that dominates for the sign of beta.
     """
     if not math.isfinite(beta):
         raise ValidationError(f"beta must be finite, got {beta!r}")
-    support = np.isfinite(log_prior)
-    gaps = not support.all()
     extreme, far = (np.minimum, np.inf) if beta >= 0.0 else (np.maximum, -np.inf)
-    anchor = float(extreme.reduce(energies, initial=far, where=support) if gaps
-                   else extreme.reduce(energies))
+    anchor = float(extreme.reduce(energies) if support is None
+                   else extreme.reduce(energies, initial=far, where=support))
     with np.errstate(over="ignore", invalid="ignore"):
         decay = beta * (energies - anchor) if beta else 0.0  # 0 * inf is 0
         log_w = log_prior - decay
-    if gaps:  # -inf - -inf is nan where an unsupported level's decay overflows
+    if support is not None:  # -inf - -inf is nan where a decay overflows
         log_w[~support] = -np.inf
-    shift = float(log_w.max())
+    shift = float(np.maximum.reduce(log_w))
     p = np.exp(log_w - shift)  # w, normalized in place below
-    total = float(np.sum(p))
+    total = float(np.add.reduce(p))
     log_partition = shift + math.log(total) - beta * anchor
     if not math.isfinite(log_partition):
         raise NumericError(
@@ -87,15 +90,17 @@ def _exponential_family(
     return p, log_partition, float(np.dot(p, energies))
 
 
-def _summaries(energies: np.ndarray, log_prior: np.ndarray, beta: float):
+def _summaries(energies: np.ndarray, log_prior: np.ndarray, beta: float,
+               support: np.ndarray | None):
     """The kernel's p, ln Z_w and <E>, and -sum(p ln p) with 0 ln 0 = 0."""
-    p, log_z, mean = _exponential_family(energies, log_prior, beta)
-    entropy = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)))
+    p, log_z, mean = _exponential_family(energies, log_prior, beta, support)
+    entropy = -np.add.reduce(p * np.log(np.where(p > 0.0, p, 1.0)))
     return p, log_z, mean, float(entropy) + 0.0  # +0.0, not -0.0, on a point mass
 
 
 def _solution(spectrum, prior, beta: float) -> EquilibriumSolution:
-    p, log_z, mean, entropy = _summaries(*_family_arrays(spectrum, prior), beta)
+    energies, log_prior, support = _family_arrays(spectrum, prior)
+    p, log_z, mean, entropy = _summaries(energies, log_prior, beta, support)
     return EquilibriumSolution(beta, log_z, ProbabilityVector._adopt(p), mean, entropy)
 
 
@@ -153,10 +158,10 @@ def solve_beta(
     """
     if not math.isfinite(target_mean_energy):
         raise ValidationError(f"target {target_mean_energy!r} must be finite")
-    energies, log_prior = _family_arrays(spectrum, prior)
-    support = np.isfinite(log_prior)
-    levels, log_prior = energies[support], log_prior[support]
-    e_min, e_max = float(levels.min()), float(levels.max())
+    levels, log_prior, support = _family_arrays(spectrum, prior)
+    if support is not None:  # from here on, the supported levels only
+        levels, log_prior = levels[support], log_prior[support]
+    e_min, e_max = float(np.minimum.reduce(levels)), float(np.maximum.reduce(levels))
 
     if e_min == e_max:
         scale = max(1.0, abs(e_min))
@@ -185,7 +190,7 @@ def solve_beta(
 
     sign, t, lo, hi, step = 1.0, 0.0, 0.0, math.inf, math.inf
     for _ in range(_MAX_STEPS):  # the root stays in [lo, hi)
-        p, _, mean = _exponential_family(u, log_prior, t)
+        p, _, mean = _exponential_family(u, log_prior, t, None)
         mean_rest = float(np.dot(p, rest))
         with np.errstate(divide="ignore"):
             odds = float(np.log(mean) - np.log(mean_rest) - goal_odds)
@@ -242,9 +247,10 @@ def solve_beta(
     return generalized_distribution(spectrum, prior, beta)
 
 
-def _prior_entropy(prior: ProbabilityVector, log_prior: np.ndarray) -> float:
+def _prior_entropy(prior: ProbabilityVector, log_prior: np.ndarray,
+                   support: np.ndarray | None) -> float:
     """H(prior) = -sum(p0 ln p0), the unequal-priors form's beta-free term."""
-    if not (prior._array > 0.0).all():
+    if support is not None:
         raise ValidationError("formula requires strictly positive priors")
     return -_fsum(prior._array * log_prior)
 
@@ -260,7 +266,8 @@ def equilibrium_entropy_uniform(
     ``EquilibriumSolution.entropy_per_particle``).
     """
     k_n = _boltzmann_k(k) * _size(N, "particle count")
-    _, log_z, mean = _exponential_family(*_family_arrays(spectrum, None), beta)
+    energies, log_prior, support = _family_arrays(spectrum, None)
+    _, log_z, mean = _exponential_family(energies, log_prior, beta, support)
     return k_n * (math.log(spectrum.count) + beta * mean + log_z)
 
 
@@ -281,9 +288,9 @@ def equilibrium_entropy_prior(
     what ``entropy_inequality_check`` reports.
     """
     k_n = _boltzmann_k(k) * _size(N, "particle count")
-    energies, log_prior = _family_arrays(spectrum, prior)
-    prior_entropy = _prior_entropy(prior, log_prior)
-    _, log_z, mean = _exponential_family(energies, log_prior, beta)
+    energies, log_prior, support = _family_arrays(spectrum, prior)
+    prior_entropy = _prior_entropy(prior, log_prior, support)
+    _, log_z, mean = _exponential_family(energies, log_prior, beta, support)
     return k_n * (prior_entropy + beta * mean + log_z)
 
 

@@ -274,9 +274,10 @@ def check_weight_dominance(n: int, n_schedule: Sequence[int]) -> list[OracleRepo
                 for total_n in schedule]
     points = []
     for total_n in schedule:  # the ratio is per particle
-        # the head factor is a positive integer, so it scales each run's max
-        w_max = max(factor * run_max for *_, factor, _, run_max
-                    in _terms(total_n, n, [1] * n, _top))
+        # the head factor is a positive integer, so it scales each run's max;
+        # a run without members (-inf) has none, and its factor may pass float range
+        w_max = max(factor * run_max for _, _, xs, factor, _, run_max
+                    in _terms(total_n, n, [1] * n, _top) if xs)
         points.append((f"N={total_n} n={n}", format_fraction(Fraction(w_max)),
                        math.log(w_max) / (total_n * math.log(n))))
     return _schedule(name, points, increasing=True)

@@ -160,6 +160,13 @@ class TestKullbackLeibler:
         assert kl_divergence(p, [0.5, 1e-320, 0.5]) == math.fsum([
             0.25 * math.log(0.5), 0.25 * (math.log(0.25) - math.log(1e-320)), 0.0])
 
+    @pytest.mark.parametrize("n", [2, 500])
+    @pytest.mark.parametrize("reference", [1e-10, 1e308 / 4.5])
+    def test_divergence_beyond_float_range_is_inf(self, n, reference):
+        # 1e308 ln(1e318) overflows a term; 1.5e308 terms overflow their sum
+        # (math.fsum below 450 entries, the array pass from there); quietly
+        assert kl_divergence([1e308] * n, [reference] * n) == math.inf
+
     @given(
         st.integers(min_value=2, max_value=8),
         st.integers(min_value=0, max_value=2**32 - 1),

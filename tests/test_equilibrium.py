@@ -1,5 +1,8 @@
 """Equilibrium distributions, the beta solver, and entropy formulas."""
 
+import contextlib
+import io
+import json
 import math
 import warnings
 
@@ -17,7 +20,8 @@ from boltzkit import (
     solve_beta,
     uniform_prior,
 )
-from boltzkit.equilibrium import ENERGY_TOL_FACTOR
+from boltzkit import cli
+from boltzkit.equilibrium import ENERGY_TOL_FACTOR, _family_arrays
 from boltzkit.errors import InfeasibleError, NumericError, ValidationError
 
 TWO_LEVEL = EnergySpectrum([0.0, 1.0])
@@ -282,6 +286,78 @@ class TestEquilibriumEntropies:
             if prior_entropy < math.log(n) - 1e-6 and not s_u > s_p:
                 strict_misses += 1
         assert strict_misses == 0
+
+
+class TestSupportMask:
+    """``_family_arrays`` finds the support mask once per (spectrum, prior);
+    the kernel and every route take it from there."""
+
+    ENDS_OFF = EnergySpectrum([0.0, 1.0, 2.0, 3.0])
+    MIDDLE = ProbabilityVector([0.0, 0.5, 0.5, 0.0])
+
+    def test_mask_is_none_exactly_when_every_prior_is_positive(self):
+        assert _family_arrays(self.ENDS_OFF, None)[2] is None
+        tiny = ProbabilityVector([5e-324, 1.0 - 5e-324])
+        assert _family_arrays(TWO_LEVEL, tiny)[2] is None
+        rng = np.random.default_rng(61)
+        masked = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 8))
+            raw = rng.uniform(0.0, 1.0, n) * (rng.uniform(0.0, 1.0, n) < 0.7)
+            if not raw.any():
+                raw[int(rng.integers(n))] = 1.0
+            prior = ProbabilityVector(raw / raw.sum())
+            support = _family_arrays(EnergySpectrum(rng.uniform(0.0, 2.0, n)),
+                                     prior)[2]
+            if (prior._array > 0.0).all():
+                assert support is None
+            else:
+                masked += 1
+                assert support.dtype == bool
+                assert np.array_equal(support, prior._array > 0.0)
+        assert masked > 50
+
+    def test_both_extreme_levels_unsupported(self):
+        # exact floats of the kernel's gaps branch, on either side of beta = 0
+        spectrum, prior = self.ENDS_OFF, self.MIDDLE
+        sol = generalized_distribution(spectrum, prior, 0.7)
+        assert sol.distribution.entries == (0.0, 0.668187772168166,
+                                            0.3318122278318339, 0.0)
+        assert (sol.log_partition, sol.mean_energy, sol.entropy_per_particle) == (
+            -0.9899611316744873, 1.3318122278318338, 0.6354546083677417)
+        sol = generalized_distribution(spectrum, prior, -1.3)
+        assert sol.distribution.entries == (0.0, 0.21416501695744145,
+                                            0.7858349830425586, 0.0)
+        assert (sol.log_partition, sol.mean_energy, sol.entropy_per_particle) == (
+            2.147861273273047, 1.7858349830425586, 0.5194229758776661)
+        sol = solve_beta(spectrum, prior, 1.2)
+        assert sol.beta == 1.3862943611198908
+        assert sol.distribution.entries == (0.0, 0.8, 0.19999999999999996, 0.0)
+        assert (sol.log_partition, sol.mean_energy, sol.entropy_per_particle) == (
+            -1.8562979903656263, 1.2, 0.5004024235381879)
+        sol = solve_beta(spectrum, prior, 1.9)
+        assert sol.beta == -2.1972245773362187
+        assert sol.distribution.entries == (0.0, 0.10000000000000006,
+                                            0.8999999999999999, 0.0)
+        assert equilibrium_entropy_uniform(spectrum, 0.7, 3, 2.0) == 15.114653612544412
+        assert equilibrium_entropy_uniform(spectrum, -1.3, 3, 2.0) == 12.942731531147572
+        with pytest.raises(ValidationError, match="requires strictly positive priors"):
+            equilibrium_entropy_prior(spectrum, prior, 0.7)
+
+    def test_sweep_row_with_both_extreme_levels_unsupported(self, tmp_path):
+        path = tmp_path / "ends-off.json"
+        path.write_text('{"levels": [0, 1, 2, 3], "priors": [0, 0.5, 0.5, 0], '
+                        '"N": 10}')
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["sweep", "--spec", str(path), "--from", "0.7",
+                             "--to", "1.7", "--points", "2", "--format", "json"]) == 0
+        assert json.loads(out.getvalue().splitlines()[0]) == {
+            "beta": 0.7, "temperature": 1.42857142857,
+            "log_partition": -0.989961131674, "mean_energy": 1.33181222783,
+            "gibbs_entropy": 6.35454608368, "equilibrium_entropy": None,
+            "kl_to_prior": 0.0576925721922,
+        }
 
 
 def dyadic_system(rng):

@@ -5,8 +5,8 @@ truncation, total and occupation alike) and at-least-one-entry errors are
 raised once, in ``core``. The exact-enumeration cap is one constant, not a
 parameter, and ``core`` imports nothing that loads numpy. Every error class
 below the families names a rule of ``core``; other modules raise a family.
-Only ``combinatorics`` applies the cap, and only ``core._fsum`` sums an
-array exactly.
+Only ``combinatorics`` applies the cap, only ``core._fsum`` sums an array
+exactly, and only ``equilibrium._family_arrays`` finds the support mask.
 """
 
 import ast
@@ -122,3 +122,18 @@ def test_one_exact_array_sum():
                 for arg in node.args for sub in ast.walk(arg))
     ]
     assert set(found) == {"core._fsum"}
+
+
+def test_one_owner_of_the_support_mask():
+    # the support of a log prior is found once per (spectrum, prior), by
+    # _family_arrays; the kernel and the routes take its mask
+    found = [
+        f"{module}.{func.name}({ast.unparse(node.args[0])})"
+        for module, tree in TREES.items()
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "isfinite"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+    ]
+    assert found == ["equilibrium._family_arrays(log_prior)"]

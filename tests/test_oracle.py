@@ -452,6 +452,25 @@ class TestWeightDominance:
         (report,) = check_weight_dominance(4, (6,))
         assert report.exact_value == "120"
 
+    @pytest.mark.parametrize("lost", [550, 367])
+    def test_a_run_without_members_is_skipped(self, monkeypatch, lost):
+        """A planted walk empties the run of head (lost,) at N = 1,100, whose
+        max folds to -inf: head (550,) has the factor C(1100, 550) ~ 1e329,
+        past float range, and head (367,) holds a largest weight. W_max is
+        the largest weight of the other members, C(N, h) C(N - h, (N - h)
+        // 2) over the other heads h."""
+        walk, total = combinatorics._runs, 1100
+
+        def runs(total, parts):
+            for head, r, xs in walk(total, parts):
+                yield head, r, (() if head == (lost,) else xs)
+
+        monkeypatch.setattr(combinatorics, "_runs", runs)
+        (report,) = check_weight_dominance(3, (total,))
+        assert report.exact_value == str(max(
+            math.comb(total, h) * math.comb(total - h, (total - h) // 2)
+            for h in range(total + 1) if h != lost))
+
     def test_weight_beyond_the_int_str_digit_limit(self):
         # C(20000, 10000) has 6,019 digits; str() of an int refuses 4,301
         (report,) = check_weight_dominance(2, (20000,))
