@@ -14,15 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Mapping
 
-from .errors import (
-    InvalidCount,
-    LengthMismatch,
-    NegativePrior,
-    NonFiniteEnergy,
-    PriorSumMismatch,
-    ValidationError,
-    ZeroLevels,
-)
+from .errors import ValidationError
 
 #: |sum(p) - 1| accepted at ProbabilityVector construction.
 PROB_SUM_TOL = 1e-12
@@ -78,43 +70,35 @@ def _check_probabilities(values, known_nonnegative=False, tol=PROB_SUM_TOL) -> f
     if not known_nonnegative:
         for x in values:
             if not (x >= 0.0):  # catches negatives and NaN
-                raise NegativePrior(f"probability entry {x!r} is not >= 0")
+                raise ValidationError(f"probability entry {x!r} is not >= 0")
     total = _total(values)
     if abs(total - 1.0) > tol:
-        raise PriorSumMismatch(f"probabilities sum to {total!r}, not 1 within {tol}")
+        raise ValidationError(f"probabilities sum to {total!r}, not 1 within {tol}")
     return total
 
 
 def _some_levels(values, message: str) -> None:
     """The rule that a vector, spectrum or macrostate has an entry."""
     if len(values) == 0:
-        raise ZeroLevels(message)
+        raise ValidationError(message)
 
 
 def _same_length(size: int, levels: int, what: str) -> None:
     """One entry per level: the rule behind every pair of per-level inputs."""
     if size != levels:
-        raise LengthMismatch(f"length mismatch: {size} {what} for {levels} levels")
-
-
-def _index(n, least: int) -> int | None:
-    """n as an int if it is an integer >= least and not a bool, else None."""
-    if isinstance(n, bool):
-        return None
-    try:
-        value = operator.index(n)
-    except TypeError:
-        return None
-    return value if value >= least else None
+        raise ValidationError(f"length mismatch: {size} {what} for {levels} levels")
 
 
 def _size(n, what: str, least: int = 1) -> int:
     """A particle, level, part or truncation count (or, with least=0, a
     composition's total or occupation) as an int; a bool, a float or a value
     < least is refused."""
-    size = _index(n, least)
-    if size is None:
-        raise InvalidCount(f"{what} {n!r} is not an integer >= {least}")
+    try:
+        size = None if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        size = None
+    if size is None or size < least:
+        raise ValidationError(f"{what} {n!r} is not an integer >= {least}")
     return size
 
 
@@ -160,7 +144,7 @@ class EnergySpectrum(_Floats):
         _some_levels(values, "spectrum needs at least one energy level")
         for x in values:
             if not math.isfinite(x):
-                raise NonFiniteEnergy(f"non-finite energy level {x!r}")
+                raise ValidationError(f"non-finite energy level {x!r}")
         object.__setattr__(self, "levels", values)
 
     @property

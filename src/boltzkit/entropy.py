@@ -95,13 +95,12 @@ def kl_divergence(
                               f"distribution has {float(b[i])!r}")
     if not mass.all():
         a, b = a[mass], b[mass]
-    with np.errstate(over="ignore"):  # a D beyond float range is inf
+    with np.errstate(over="ignore", divide="ignore"):  # a D beyond float range is inf
         terms = np.log(a / b)
+        off = np.isinf(terms)  # a / b is 0 or inf: ln a - ln b there
+        if off.any():
+            terms[off] = np.log(a[off]) - np.log(b[off])
         d = _total(a * terms)
-        if d == math.inf:  # some a / b overflowed: ln a - ln b there
-            over = terms == math.inf
-            terms[over] = np.log(a[over]) - np.log(b[over])
-            d = _total(a * terms)
     return max(0.0, d)  # below 0: rounding
 
 

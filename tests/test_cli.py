@@ -676,9 +676,22 @@ class TestFamilyErrors:
          "target inf must be finite"),
         ('{"levels": [0, 1], "priors": [0.5, 0.5], "N": 0}',
          ("distribution", "--beta", "1"), 2, "particle count 0 is not an integer >= 1"),
+        ('{"levels": [0, 1, 2], "priors": [0.5, 0.5], "N": 1}',
+         ("distribution", "--beta", "1"), 2, "length mismatch: 2 priors for 3 levels"),
+        ('{"levels": [0, 1], "priors": [1.5, -0.5], "N": 1}',
+         ("distribution", "--beta", "1"), 2, "probability entry -0.5 is not >= 0"),
+        ('{"levels": [0, 1], "priors": [0.6, 0.6], "N": 1}',
+         ("distribution", "--beta", "1"), 2,
+         "probabilities sum to 1.2, not 1 within 1e-09"),
+        ('{"levels": [0, Infinity], "priors": [0.5, 0.5], "N": 1}',
+         ("distribution", "--beta", "1"), 2, "non-finite energy level inf"),
+        ('{"levels": [], "priors": [], "N": 1}',
+         ("distribution", "--beta", "1"), 2, "spectrum needs at least one energy level"),
     ], ids=["out-of-range", "one-energy-support", "log-partition", "oscillator-beta",
             "stalled", "stalled-mirror", "temperature-from-zero",
-            "temperature-from-negative", "target-nan", "target-inf", "particle-count"])
+            "temperature-from-negative", "target-nan", "target-inf", "particle-count",
+            "length-mismatch", "negative-prior", "prior-sum", "non-finite-energy",
+            "no-levels"])
     def test_exit_code_and_error_line(self, tmp_path, spec, args, code, message):
         if spec is not None:
             path = tmp_path / "spec.json"

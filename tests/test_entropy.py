@@ -167,6 +167,15 @@ class TestKullbackLeibler:
         # (math.fsum below 450 entries, the array pass from there); quietly
         assert kl_divergence([1e308] * n, [reference] * n) == math.inf
 
+    @pytest.mark.parametrize("p, q, want", [
+        ([1e-300, 1.0], [1e300, 1.0], 0.0),
+        ([1e-300, 1e308], [1e300, 1e-10], math.inf),
+    ], ids=["underflow", "underflow-and-overflow"])
+    def test_ratio_below_float_range(self, p, q, want):
+        # 1e-300 / 1e300 rounds to 0: its term is 1e-300 (ln 1e-300 - ln 1e300),
+        # about -1.4e-297, not 1e-300 ln 0 = -inf; quietly
+        assert kl_divergence(p, q) == want
+
     @given(
         st.integers(min_value=2, max_value=8),
         st.integers(min_value=0, max_value=2**32 - 1),

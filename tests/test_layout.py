@@ -2,14 +2,15 @@
 
 Each input rule has one owner: the length, count (particle, level, part,
 truncation, total and occupation alike) and at-least-one-entry errors are
-raised once, in ``core``. The exact-enumeration cap is one constant, not a
-parameter, and ``core`` imports nothing that loads numpy. Every error class
-below the families names a rule of ``core``; other modules raise a family.
-Only ``combinatorics`` applies the cap, only ``core._fsum`` sums an array
+raised once, in ``core``, by message. ``errors`` defines the three families
+and their base, nothing more. The exact-enumeration cap is one constant, not
+a parameter, and ``core`` imports nothing that loads numpy. Only
+``combinatorics`` applies the cap, only ``core._fsum`` sums an array
 exactly, and only ``equilibrium._family_arrays`` finds the support mask.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -21,32 +22,64 @@ TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _raised(tree: ast.AST, name: str) -> int:
-    """How many ``raise name(...)`` statements the tree holds."""
-    return sum(
-        isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-        and isinstance(node.exc.func, ast.Name) and node.exc.func.id == name
-        for node in ast.walk(tree)
+def _raises(node: ast.AST, owner: str):
+    """(qualified name of the enclosing function, raise statement) pairs."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _raises(child, f"{owner}.{child.name}")
+        elif isinstance(child, ast.Raise):
+            yield owner, child
+        else:
+            yield from _raises(child, owner)
+
+
+#: Each raise of the package with the string literals of its message.
+RAISES = [
+    (owner, " ".join(node.value for node in ast.walk(statement.exc)
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str)))
+    for module, tree in TREES.items()
+    for owner, statement in _raises(tree, module) if statement.exc is not None
+]
+
+
+@pytest.mark.parametrize("message, owner", [
+    ("length mismatch", "core._same_length"),
+    ("is not an integer >=", "core._size"),
+])
+def test_rule_messages_are_raised_once_in_core(message, owner):
+    assert [where for where, text in RAISES if message in text] == [owner]
+
+
+def test_one_raise_site_for_an_empty_input():
+    # a vector, spectrum or macrostate without entries is refused by
+    # core._some_levels, with the message its caller names
+    named = sorted(
+        ast.literal_eval(call.args[1]) for tree in TREES.values()
+        for call in ast.walk(tree) if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name) and call.func.id == "_some_levels"
     )
+    assert named == ["macrostate needs at least one level",
+                     "probability vector needs at least one entry",
+                     "spectrum needs at least one energy level"]
+    empty = [
+        f"{module}.{function.name}" for module, tree in TREES.items()
+        for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function) if isinstance(node, ast.Compare)
+        and re.fullmatch(r"len\(.*\) == 0", ast.unparse(node))
+    ]
+    assert empty == ["core._some_levels"]
+    assert [where for where, text in RAISES if "needs at least one" in text] == [
+        "entropy.stirling_entropy"]  # a macrostate of zero particles
+    some_levels = next(f for f in TREES["core"].body
+                       if isinstance(f, ast.FunctionDef) and f.name == "_some_levels")
+    assert [ast.unparse(node) for node in ast.walk(some_levels)
+            if isinstance(node, ast.Raise)] == ["raise ValidationError(message)"]
 
 
-@pytest.mark.parametrize("error", ["LengthMismatch", "InvalidCount", "ZeroLevels"])
-def test_rule_errors_are_raised_once_in_core(error):
-    assert {module: _raised(tree, error) for module, tree in TREES.items()
-            if _raised(tree, error)} == {"core": 1}
-
-
-FAMILIES = {"BoltzkitError", "ValidationError", "NumericError", "InfeasibleError"}
-
-
-def test_rule_classes_are_raised_in_core_and_families_elsewhere():
-    defined = {node.name for node in TREES["errors"].body
-               if isinstance(node, ast.ClassDef)}
-    rules = defined - FAMILIES
-    assert FAMILIES <= defined
-    assert {name for name in rules if _raised(TREES["core"], name)} == rules
-    assert [f"{module}: {name}" for module, tree in TREES.items() if module != "core"
-            for name in sorted(rules) if _raised(tree, name)] == []
+def test_errors_defines_the_families_only():
+    assert [node.name for node in TREES["errors"].body
+            if isinstance(node, ast.ClassDef)] == [
+        "BoltzkitError", "ValidationError", "NumericError", "InfeasibleError"]
 
 
 def test_no_cap_or_digits_parameter():

@@ -26,7 +26,7 @@ from boltzkit import (
 from boltzkit import combinatorics
 from boltzkit.combinatorics import macrostate_probability_exact
 from boltzkit.equilibrium import generalized_distribution
-from boltzkit.errors import InvalidCount, NegativePrior, PriorSumMismatch, ValidationError
+from boltzkit.errors import ValidationError
 from boltzkit.oracle import _exact_report, format_fraction
 
 
@@ -47,14 +47,14 @@ def test_round_to_macrostate_is_deterministic_and_sum_preserving():
         assert round_to_macrostate(total, p).total == total
 
 
-@pytest.mark.parametrize("total, p, error, message", [
-    (10, [0.6, 0.6], PriorSumMismatch, "probabilities sum to 1.2"),
-    (2.5, [0.5, 0.5], InvalidCount, "composition total 2.5 is not an integer >= 0"),
-    (10, [math.nan, 1.0], NegativePrior, "probability entry nan is not >= 0"),
-    (True, [0.5, 0.5], InvalidCount, "composition total True is not an integer >= 0"),
+@pytest.mark.parametrize("total, p, message", [
+    (10, [0.6, 0.6], "probabilities sum to 1.2"),
+    (2.5, [0.5, 0.5], "composition total 2.5 is not an integer >= 0"),
+    (10, [math.nan, 1.0], "probability entry nan is not >= 0"),
+    (True, [0.5, 0.5], "composition total True is not an integer >= 0"),
 ], ids=["sum-above-one", "fractional-total", "nan-entry", "bool-total"])
-def test_round_to_macrostate_checks_its_inputs(total, p, error, message):
-    with pytest.raises(error, match=f"^{message}"):
+def test_round_to_macrostate_checks_its_inputs(total, p, message):
+    with pytest.raises(ValidationError, match=f"^{message}"):
         round_to_macrostate(total, p)
 
 

@@ -1,4 +1,4 @@
-"""Bad inputs that each end in their documented class, at raise sites that
+"""Bad inputs that each end in their documented family, at raise sites that
 no other test reaches."""
 
 import json
@@ -8,7 +8,7 @@ import pytest
 from boltzkit import (EnergySpectrum, Macrostate, occupation_cross_entropy,
                       solve_beta, stirling_entropy, uniform_prior, validate_spec)
 from boltzkit.core import load_spec
-from boltzkit.errors import NumericError, ValidationError, ZeroLevels
+from boltzkit.errors import NumericError, ValidationError
 from boltzkit.oracle import default_suite
 
 
@@ -23,7 +23,7 @@ CASES = {
         lambda tmp: solve_beta(EnergySpectrum([0.0, 1e308]), uniform_prior(2), 1e-320),
         NumericError, "target 1e-320 is not resolvable"),
     "Macrostate-no-levels": (
-        lambda tmp: Macrostate([]), ZeroLevels, "at least one level"),
+        lambda tmp: Macrostate([]), ValidationError, "at least one level"),
     "stirling_entropy-no-particles": (
         lambda tmp: stirling_entropy(Macrostate([0, 0])),
         ValidationError, "at least one particle"),
