@@ -141,7 +141,7 @@ def cmd_distribution(args, out) -> int:
 
 def cmd_sweep(args, out) -> int:
     from .entropy import kl_divergence
-    from .equilibrium import _family_arrays, _summaries
+    from .equilibrium import _family_arrays, _quiet, _summaries
     spec = load_spec(args.spec)
     grid = _grid(args)
     temperature = args.variable == "temperature"
@@ -151,16 +151,17 @@ def cmd_sweep(args, out) -> int:
         "beta", "temperature", "log_partition", "mean_energy",
         "gibbs_entropy", "equilibrium_entropy", "kl_to_prior",
     ]
-    energies, log_prior, support = _family_arrays(spec.spectrum, spec.prior)
-    head = _entropy_head(spec, log_prior, support)
     k_n = spec.boltzmann_k * spec.particles
     rows = []
-    for g in grid:
-        beta = _inverse(g, spec.boltzmann_k) if temperature else g
-        p, log_z, mean, entropy = _summaries(energies, log_prior, beta, support)
-        s_equil = None if head is None else k_n * (head + beta * mean + log_z)
-        rows.append([beta, _inverse(beta, spec.boltzmann_k), log_z, mean,
-                     k_n * entropy, s_equil, kl_divergence(p, spec.prior)])
+    with _quiet():
+        energies, log_prior, support = _family_arrays(spec.spectrum, spec.prior)
+        head = _entropy_head(spec, log_prior, support)
+        for g in grid:
+            beta = _inverse(g, spec.boltzmann_k) if temperature else g
+            p, log_z, mean, entropy = _summaries(energies, log_prior, beta, support)
+            s_equil = None if head is None else k_n * (head + beta * mean + log_z)
+            rows.append([beta, _inverse(beta, spec.boltzmann_k), log_z, mean,
+                         k_n * entropy, s_equil, kl_divergence(p, spec.prior)])
     _emit_rows(args.format, header, rows, out)
     return EXIT_OK
 

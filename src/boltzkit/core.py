@@ -126,7 +126,7 @@ class _Floats:
         return array
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_array"}
+        return {self._FIELD: getattr(self, self._FIELD)}
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,9 @@ class ProbabilityVector(_Floats):
     state their own support preconditions.
     """
 
-    entries: tuple[float, ...]
+    # a kernel-built vector keeps only its array; the tuple is built on first read
+    entries: tuple[float, ...] = cached_property(
+        lambda self: tuple(self._array.tolist()))
     _FIELD = "entries"
 
     def __init__(self, entries: Iterable[float]):
@@ -171,12 +173,25 @@ class ProbabilityVector(_Floats):
     @classmethod
     def _adopt(cls, array) -> ProbabilityVector:
         """A vector over a float64 array that it keeps, made read-only: the
-        constructor's checks as array operations, for kernel-built arrays."""
-        values = tuple(array.tolist())
-        nonnegative = bool((array >= 0.0).all())
-        _check_probabilities(array if nonnegative else values, nonnegative)
+        constructor's checks as array operations, for kernel-built arrays.
+
+        n entries in [0, 1] have a float sum s within gamma_(n-1) of their
+        exact sum, in any order (Higham 2002, section 4.2), so within n
+        2**-53 s; 2**-52 more covers the rounding of the exact sum. Where
+        that bound puts the sum within ``PROB_SUM_TOL`` of 1, no exact sum
+        is taken; otherwise, and on every array from 9,006 entries on,
+        the exact sum decides, with the constructor's message.
+        """
+        import numpy as np
+        n = len(array)
+        if not (n and np.minimum.reduce(array) >= 0.0
+                and np.maximum.reduce(array) <= 1.0):
+            _check_probabilities(tuple(array.tolist()))  # the constructor's checks
+        else:
+            total = float(np.add.reduce(array))
+            if abs(total - 1.0) + n * 2.0**-53 * total + 2.0**-52 > PROB_SUM_TOL:
+                _check_probabilities(array, known_nonnegative=True)
         vector = object.__new__(cls)
-        object.__setattr__(vector, "entries", values)
         array.flags.writeable = False
         vector.__dict__["_array"] = array
         return vector

@@ -77,15 +77,27 @@ def exact_boltzmann_entropy(m: Macrostate, k: float = 1.0) -> EntropyValue:
     return _entropy(_log_weight(m.occupations), k)
 
 
+def _masses(values: Sequence[float], what: str):
+    """A sequence's masses as a float64 array; a NaN or inf one is refused
+    (a ProbabilityVector's are finite and >= 0 by construction)."""
+    import numpy as np
+    a = np.asarray(values, dtype=float)
+    not_finite = ~(np.abs(a) < np.inf)  # NaN compares false
+    if not_finite.any():
+        i = int(not_finite.argmax())
+        raise ValidationError(f"{what} {float(a[i])!r} at entry {i} is not finite")
+    return a
+
+
 def kl_divergence(
     p: ProbabilityVector | Sequence[float], p0: ProbabilityVector | Sequence[float]
 ) -> float:
     """Unsigned divergence D(p || p0) = sum(p_i ln(p_i/p0_i)) >= 0."""
     import numpy as np
-    a, b = (x._array if isinstance(x, ProbabilityVector) else
-            np.asarray(x, dtype=float) for x in (p, p0))
+    a, b = (x._array if isinstance(x, ProbabilityVector) else _masses(x, what)
+            for x, what in ((p, "mass"), (p0, "reference mass")))
     _same_length(len(a), len(b), "entries")
-    if (a < 0.0).any():
+    if not isinstance(p, ProbabilityVector) and (a < 0.0).any():
         raise ValidationError(f"mass {float(a[a < 0.0][0])!r} is negative")
     mass = a != 0.0
     outside = mass & (b <= 0.0)

@@ -154,6 +154,89 @@ class TestKernelBuiltVector:
             "probabilities sum to inf, not 1 within 1e-12")
 
 
+    @staticmethod
+    def _fresh():
+        """An adopted vector whose entries are not read yet, and the
+        constructor's vector over the same values."""
+        array = np.array([0.125, 0.0, 0.5, 0.375])
+        return ProbabilityVector._adopt(array), ProbabilityVector(array.tolist())
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    def test_entries_are_built_on_first_read(self, read_first):
+        # equality, hash, repr, pickle, len and indexing, each first on a
+        # vector that holds only its array, and once the tuple is built
+        for check in (
+            lambda v, ref: v == ref and ref == v,
+            lambda v, ref: hash(v) == hash(ref),
+            lambda v, ref: repr(v) == repr(ref),
+            lambda v, ref: pickle.dumps(v) == pickle.dumps(ref),
+            lambda v, ref: len(v) == len(ref) == 4,
+            lambda v, ref: (v[1], v[-1], v[1:]) == (0.0, 0.375, (0.0, 0.5, 0.375)),
+        ):
+            v, ref = self._fresh()
+            assert "entries" not in vars(v)
+            if read_first:
+                v.entries
+            assert check(v, ref)
+            assert v.entries == ref.entries
+            assert type(v.entries) is tuple
+            assert all(type(x) is float for x in v.entries)
+
+    def test_pickle_of_a_never_read_vector(self):
+        v, ref = self._fresh()
+        back = pickle.loads(pickle.dumps(v))
+        assert back == ref and back.entries == ref.entries
+        assert "_array" not in vars(back)
+        assert back._array.tolist() == v._array.tolist()
+
+    @pytest.mark.parametrize("n", [2, 2000, 10_000])
+    @pytest.mark.parametrize("edge", [1.0 - 1e-12, 1.0 + 1e-12])
+    def test_sum_check_at_the_tolerance(self, n, edge):
+        # sums within a few ulp of 1 +- 1e-12, by 2**-53 steps: the same
+        # decision and message as the constructor's exact sum, on both sides
+        # of the ~9,000 entries beyond which the float sum's bound never decides
+        outcomes = set()
+        for k in range(-6, 7):
+            entries = _summing_to(n, edge, k)
+            try:
+                want = ProbabilityVector(entries.tolist())
+            except ValidationError as public:
+                with pytest.raises(ValidationError) as internal:
+                    ProbabilityVector._adopt(entries)
+                assert str(internal.value) == str(public)
+                outcomes.add("rejected")
+            else:
+                assert ProbabilityVector._adopt(entries) == want
+                outcomes.add("accepted")
+        assert outcomes == {"accepted", "rejected"}
+
+    @pytest.mark.parametrize("n, exact_sums", [(2, 0), (2000, 0), (10_000, 1)])
+    @pytest.mark.parametrize("off", [-5e-13, 0.0, 5e-13])
+    def test_exact_sum_only_where_the_bound_cannot_decide(
+        self, monkeypatch, n, exact_sums, off
+    ):
+        # n 2**-53 is 2.2e-13 at 2,000 entries, so 1 +- 5e-13 is decided by
+        # the float sum; at 10,000 entries (1.1e-12) only the exact sum can
+        totals = []
+        monkeypatch.setattr(core, "_total",
+                            lambda values, total=core._total:
+                            totals.append(len(values)) or total(values))
+        entries = _summing_to(n, 1.0 + off, 0)
+        assert ProbabilityVector._adopt(entries) == ProbabilityVector(entries.tolist())
+        assert len(totals) == exact_sums + 1  # the constructor's own sum
+
+
+def _summing_to(n, total, k):
+    """n seeded entries in [0, 1] whose exact sum is within an ulp of the
+    float nearest ``total``, plus k 2**-53 (the last entry takes the steps
+    exactly)."""
+    rng = np.random.default_rng(n)
+    head = rng.uniform(0.05, 1.0, n - 1)
+    head *= 0.5 / head.sum()
+    rest = total - math.fsum(head.tolist())  # exact: both near 0.5 and 1
+    return np.append(head, rest + k * 2.0**-53)
+
+
 def _fsum_result(f, values):
     """f(values) as (value, sign bit), or as the error it raises."""
     try:

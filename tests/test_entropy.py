@@ -256,6 +256,23 @@ class TestKullbackLeiblerArrayPass:
             with pytest.raises(ValidationError, match="negative"):
                 kl_divergence(p, q)
 
+    @pytest.mark.parametrize("p, q, message", [
+        ([math.nan, 1.0], [0.5, 0.5], "mass nan at entry 0 is not finite"),
+        ([1.0, 1.0], [math.nan, 0.5], "reference mass nan at entry 0 is not finite"),
+        ([1.0, math.inf], [math.inf, 1.0], "mass inf at entry 1 is not finite"),
+        ([0.5, 0.5], [1.0, -math.inf], "reference mass -inf at entry 1 is not finite"),
+    ], ids=["nan mass", "nan reference", "inf both", "-inf reference"])
+    def test_non_finite_mass_is_a_validation_error(self, p, q, message):
+        # the first two returned D = 0.0, the third a bare ValueError from fsum
+        for convert in (list, tuple, np.array):
+            with pytest.raises(ValidationError) as exc:
+                kl_divergence(convert(p), convert(q))
+            assert str(exc.value) == message
+
+    def test_non_finite_reference_beside_a_vector(self):
+        with pytest.raises(ValidationError, match="reference mass nan at entry 1"):
+            kl_divergence(ProbabilityVector([0.5, 0.5]), [1.0, math.nan])
+
     def test_zero_mass_needs_no_support(self):
         assert kl_divergence([1.0, 0.0], [1.0, 0.0]) == 0.0
 

@@ -21,8 +21,10 @@ from boltzkit import (
     uniform_prior,
 )
 from boltzkit import cli
-from boltzkit.equilibrium import ENERGY_TOL_FACTOR, _family_arrays
-from boltzkit.errors import InfeasibleError, NumericError, ValidationError
+from boltzkit.entropy import kl_divergence
+from boltzkit.equilibrium import ENERGY_TOL_FACTOR, _family_arrays, _quiet
+from boltzkit.errors import (BoltzkitError, InfeasibleError, NumericError,
+                             ValidationError)
 
 TWO_LEVEL = EnergySpectrum([0.0, 1.0])
 
@@ -307,8 +309,9 @@ class TestSupportMask:
             if not raw.any():
                 raw[int(rng.integers(n))] = 1.0
             prior = ProbabilityVector(raw / raw.sum())
-            support = _family_arrays(EnergySpectrum(rng.uniform(0.0, 2.0, n)),
-                                     prior)[2]
+            with _quiet():  # the error state of the route that calls it
+                support = _family_arrays(EnergySpectrum(rng.uniform(0.0, 2.0, n)),
+                                         prior)[2]
             if (prior._array > 0.0).all():
                 assert support is None
             else:
@@ -659,3 +662,89 @@ class TestSolverRegressions:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if mean(mid) > target else (lo, mid)
         assert sol.beta == pytest.approx(lo, rel=1e-12)
+
+
+#: Systems at the edges of float range and of the support.
+EDGE_SYSTEMS = {
+    "four levels": ([0.0, 1.0, 2.0, 3.0], [0.4, 0.3, 0.2, 0.1]),
+    "float range": ([-1e308, -1.0, 1.0, 1e308], [0.25] * 4),
+    "zero priors at both ends": ([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 0.5, 0.0]),
+    "float range, ends unsupported": ([-1e308, -1.0, 1.0, 1e308],
+                                      [0.0, 0.5, 0.5, 0.0]),
+}
+
+ROUTES = {
+    "generalized_distribution": lambda s, q, b: kl_divergence(
+        generalized_distribution(s, q, b).distribution, q),
+    "boltzmann_distribution": lambda s, q, b: boltzmann_distribution(s, b),
+    "equilibrium_entropy_uniform": lambda s, q, b: equilibrium_entropy_uniform(s, b),
+    "equilibrium_entropy_prior": lambda s, q, b: equilibrium_entropy_prior(s, q, b),
+    "entropy_inequality_check": lambda s, q, b: entropy_inequality_check(s, q, b),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNoWarningEscapesARoute:
+    """Each public route sets one numpy error state; none of the overflow,
+    ln 0 or inf - inf that its kernel and solver handle warns, and a value
+    beyond float range is a BoltzkitError."""
+
+    @pytest.mark.parametrize("beta", [1e300, -1e300])
+    @pytest.mark.parametrize("system", EDGE_SYSTEMS)
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_routes_at_extreme_beta(self, route, system, beta):
+        levels, priors = EDGE_SYSTEMS[system]
+        with contextlib.suppress(BoltzkitError):
+            ROUTES[route](EnergySpectrum(levels), ProbabilityVector(priors), beta)
+
+    @pytest.mark.parametrize("levels, priors, target", [
+        ([0.0, 1.0, 2.0, 3.0], [0.4, 0.3, 0.2, 0.1], 1e-300),
+        ([0.0, 1.0, 2.0, 3.0], [0.4, 0.3, 0.2, 0.1], 3.0 - 1e-15),
+        ([0.0, 1.0], [1.0, 1e-320], 0.5),
+        ([0.0, 1e-300, 1.0], [0.25, 0.25, 0.5], 1e-310),
+        ([-1.0, -1e-300, 0.0], [0.5, 0.25, 0.25], -1e-310),
+        ([0.0, 1e308], [0.5, 0.5], 1e-300),
+        ([-1e308, 1e308], [0.5, 0.5], 0.5),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 0.5, 0.0], 1.0 + 1e-15),
+        ([-1e308, -1.0, 1.0, 1e308], [0.0, 0.5, 0.5, 0.0], 1.0 - 1e-15),
+    ])
+    def test_solve_beta_on_saturated_tails(self, levels, priors, target):
+        with contextlib.suppress(BoltzkitError):
+            solve_beta(EnergySpectrum(levels), ProbabilityVector(priors), target)
+
+    @pytest.mark.parametrize("grid", [
+        ["--from=-1e300", "--to", "1e300", "--points", "5"],
+        ["--variable", "temperature", "--from", "1e-300", "--to", "1",
+         "--points", "5", "--spacing", "log"],
+    ], ids=["beta", "temperature"])
+    @pytest.mark.parametrize("system", EDGE_SYSTEMS)
+    def test_sweep_to_extreme_beta(self, tmp_path, system, grid):
+        levels, priors = EDGE_SYSTEMS[system]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"levels": levels, "priors": priors, "N": 3}))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["sweep", "--spec", str(path), *grid])
+        # a log-partition beyond float range is a numeric failure
+        assert code == (cli.EXIT_NUMERIC if system == "float range" else cli.EXIT_OK)
+
+    def test_solve_beta_opens_two_error_states_whatever_its_steps(
+        self, monkeypatch
+    ):
+        # its own, and generalized_distribution's for the result
+        opened = []
+        errstate = np.errstate
+        monkeypatch.setattr(np, "errstate",
+                            lambda **kw: opened.append(kw) or errstate(**kw))
+        calls = _kernel_calls(monkeypatch)
+        steps = []
+        for levels, target in [([0.0, 1.0], 0.5), ([0.0, 1.0, 2.0], 0.3),
+                               ([0.0, 1e-300, 1.0], 1e-310),
+                               ([0.0, 5.47e-7, 5.62e-7, 6.84e-7, 1.0],
+                                4.675777377787808e-09)]:
+            opened.clear()
+            calls.clear()
+            solve_beta(EnergySpectrum(levels), uniform_prior(len(levels)), target)
+            assert len(opened) <= 2, (levels, opened)
+            steps.append(len(calls))
+        assert min(steps) <= 2 and max(steps) >= 10
