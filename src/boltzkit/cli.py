@@ -9,7 +9,8 @@ validation error, 3 numeric failure, 4 constraint infeasibility.
 
 Subcommands import equilibrium, entropy and oracle (and so numpy) when they
 run: ``--help``, usage errors and ``oscillator`` on a linear grid never load
-numpy.
+numpy. Each is one library call plus formatting; ``sweep``'s is
+``equilibrium._sweep``, which opens the kernel's error state once per grid.
 """
 
 from __future__ import annotations
@@ -117,17 +118,6 @@ def _inverse(x: float, k: float) -> float | None:
     return None if x == 0.0 else (1.0 / kx if kx else math.copysign(math.inf, x))
 
 
-def _entropy_head(spec: SystemSpec, log_prior, support) -> float | None:
-    """The beta-free term of the closed equilibrium-entropy form: ln n + ln n
-    at a uniform prior (ln Z = ln Z_w + ln n there), H(prior) otherwise, and
-    None where a prior is 0 (the form takes ln p0 of every level)."""
-    from .equilibrium import _prior_entropy
-    n = spec.spectrum.count
-    if max(abs(q - 1.0 / n) for q in spec.prior.entries) <= 1e-12:
-        return 2.0 * math.log(n)
-    return None if support is not None else _prior_entropy(spec.prior, log_prior, None)
-
-
 def cmd_distribution(args, out) -> int:
     from .equilibrium import generalized_distribution
     spec = load_spec(args.spec)
@@ -140,28 +130,19 @@ def cmd_distribution(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    from .entropy import kl_divergence
-    from .equilibrium import _family_arrays, _quiet, _summaries
+    from .equilibrium import _sweep
     spec = load_spec(args.spec)
     grid = _grid(args)
     temperature = args.variable == "temperature"
     if temperature and not (args.start > 0):
         raise ValidationError("temperature sweeps require start > 0")
-    header = [
-        "beta", "temperature", "log_partition", "mean_energy",
-        "gibbs_entropy", "equilibrium_entropy", "kl_to_prior",
-    ]
-    k_n = spec.boltzmann_k * spec.particles
-    rows = []
-    with _quiet():
-        energies, log_prior, support = _family_arrays(spec.spectrum, spec.prior)
-        head = _entropy_head(spec, log_prior, support)
-        for g in grid:
-            beta = _inverse(g, spec.boltzmann_k) if temperature else g
-            p, log_z, mean, entropy = _summaries(energies, log_prior, beta, support)
-            s_equil = None if head is None else k_n * (head + beta * mean + log_z)
-            rows.append([beta, _inverse(beta, spec.boltzmann_k), log_z, mean,
-                         k_n * entropy, s_equil, kl_divergence(p, spec.prior)])
+    header = ["beta", "temperature", "log_partition", "mean_energy", "gibbs_entropy",
+              "equilibrium_entropy", "kl_to_prior"]
+    k, k_n = spec.boltzmann_k, spec.boltzmann_k * spec.particles
+    betas = [_inverse(t, k) for t in grid] if temperature else grid
+    rows = [[sol.beta, _inverse(sol.beta, k), sol.log_partition, sol.mean_energy,
+             k_n * sol.entropy_per_particle, None if closed is None else k_n * closed,
+             kl] for sol, closed, kl in _sweep(spec.spectrum, spec.prior, betas)]
     _emit_rows(args.format, header, rows, out)
     return EXIT_OK
 

@@ -196,8 +196,8 @@ class ProbabilityVector(_Floats):
         vector.__dict__["_array"] = array
         return vector
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    def __len__(self) -> int:  # entries, once read, is never empty
+        return len(self.__dict__.get("entries") or self._array)
 
     def __getitem__(self, i: int) -> float:
         return self.entries[i]

@@ -12,9 +12,9 @@ and p does not depend on the energies' offset. Normalization uses the
 prior-weighted partition sum Z_w = sum(prior_j exp(-beta E_j)), the unique
 choice under which the weights form a probability distribution.
 
-Each public route opens one numpy error state, ``_quiet``, around its array
-work: the kernel and the solver handle an overflowing exponent, ln 0 and
-inf - inf where they arise, and open none per call or per step.
+Each public route, and the CLI's grid ``_sweep``, opens one numpy error state,
+``_quiet``, around its array work: the kernel and the solver handle overflow,
+ln 0 and inf - inf where they arise, and open none per call, point or step.
 """
 
 from __future__ import annotations
@@ -98,26 +98,22 @@ def _exponential_family(
     return p, log_partition, float(np.dot(p, energies))
 
 
-def _summaries(energies: np.ndarray, log_prior: np.ndarray, beta: float,
-               support: np.ndarray | None):
-    """The kernel's p, ln Z_w and <E>, and -sum(p ln p) with 0 ln 0 = 0."""
+def _solution(arrays, beta: float) -> EquilibriumSolution:
+    """The kernel on ``_family_arrays``' triple at beta, with the Gibbs entropy
+    -sum(p ln p), 0 ln 0 = 0, under its route's ``_quiet``."""
+    energies, log_prior, support = arrays
     p, log_z, mean = _exponential_family(energies, log_prior, beta, support)
-    entropy = -np.add.reduce(p * np.log(np.where(p > 0.0, p, 1.0)))
-    return p, log_z, mean, float(entropy) + 0.0  # +0.0, not -0.0, on a point mass
-
-
-def _solution(spectrum, prior, beta: float) -> EquilibriumSolution:
-    with _quiet():
-        energies, log_prior, support = _family_arrays(spectrum, prior)
-        p, log_z, mean, entropy = _summaries(energies, log_prior, beta, support)
-    return EquilibriumSolution(beta, log_z, ProbabilityVector._adopt(p), mean, entropy)
+    entropy = float(-np.add.reduce(p * np.log(np.where(p > 0.0, p, 1.0))))
+    return EquilibriumSolution(beta, log_z, ProbabilityVector._adopt(p), mean,
+                               entropy + 0.0)  # +0.0, not -0.0, on a point mass
 
 
 def boltzmann_distribution(
     spectrum: EnergySpectrum, beta: float
 ) -> EquilibriumSolution:
     """p_i = exp(-beta E_i) / Z with Z = sum(exp(-beta E_j))."""
-    return _solution(spectrum, None, beta)
+    with _quiet():
+        return _solution(_family_arrays(spectrum, None), beta)
 
 
 def generalized_distribution(
@@ -129,7 +125,30 @@ def generalized_distribution(
     this coincides with ``boltzmann_distribution``. At beta = 0 it returns
     the prior, up to rounding.
     """
-    return _solution(spectrum, prior, beta)
+    with _quiet():
+        return _solution(_family_arrays(spectrum, prior), beta)
+
+
+def _sweep(spectrum: EnergySpectrum, prior: ProbabilityVector, betas) -> list:
+    """[(solution, h + beta <E> + ln Z_w, D(p || prior))] over betas: the
+    ``generalized_distribution`` route on arrays found once. h, the closed
+    entropy form's beta-free term, is 2 ln n at a uniform prior (ln Z = ln Z_w
+    + ln n there), H(prior) otherwise; the form is None where a prior is 0."""
+    from .entropy import kl_divergence
+    with _quiet():  # a list, not a generator, so that it closes here
+        arrays = _, log_prior, support = _family_arrays(spectrum, prior)
+        n = spectrum.count
+        if np.maximum.reduce(np.abs(prior._array - 1.0 / n)) <= 1e-12:
+            head = 2.0 * math.log(n)
+        else:
+            head = _prior_entropy(prior, log_prior, None) if support is None else None
+        rows = []
+        for beta in betas:
+            sol = _solution(arrays, beta)
+            closed = (None if head is None else
+                      head + beta * sol.mean_energy + sol.log_partition)
+            rows.append((sol, closed, kl_divergence(sol.distribution, prior)))
+    return rows
 
 
 #: Tolerance on the solved mean energy, relative to the target's distance

@@ -17,6 +17,7 @@ from boltzkit import (
     Macrostate,
     ProbabilityVector,
     SystemSpec,
+    generalized_distribution,
     uniform_prior,
     validate_spec,
 )
@@ -181,6 +182,22 @@ class TestKernelBuiltVector:
             assert v.entries == ref.entries
             assert type(v.entries) is tuple
             assert all(type(x) is float for x in v.entries)
+
+    def test_len_reads_the_kept_array(self):
+        # len of a kernel-built vector builds no tuple, so a solved
+        # distribution passed back as a prior is not copied; a constructed
+        # vector's len builds no array
+        v, ref = self._fresh()
+        assert len(v) == len(ref) == 4
+        assert "entries" not in vars(v) and "_array" not in vars(ref)
+        spectrum = EnergySpectrum([0.0, 1.0, 2.0, 3.0])
+        prior = ProbabilityVector([0.4, 0.3, 0.2, 0.1])
+        solved = generalized_distribution(spectrum, prior, 1.0).distribution
+        assert len(solved) == 4 and "entries" not in vars(solved)
+        again = generalized_distribution(spectrum, solved, 0.5).distribution
+        assert "entries" not in vars(solved) and "entries" not in vars(again)
+        assert len(solved) == len(solved.entries) == 4
+        assert len(again) == len(again.entries) == 4
 
     def test_pickle_of_a_never_read_vector(self):
         v, ref = self._fresh()

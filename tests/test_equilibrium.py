@@ -22,7 +22,7 @@ from boltzkit import (
 )
 from boltzkit import cli
 from boltzkit.entropy import kl_divergence
-from boltzkit.equilibrium import ENERGY_TOL_FACTOR, _family_arrays, _quiet
+from boltzkit.equilibrium import ENERGY_TOL_FACTOR, _family_arrays, _quiet, _sweep
 from boltzkit.errors import (BoltzkitError, InfeasibleError, NumericError,
                              ValidationError)
 
@@ -680,6 +680,7 @@ ROUTES = {
     "equilibrium_entropy_uniform": lambda s, q, b: equilibrium_entropy_uniform(s, b),
     "equilibrium_entropy_prior": lambda s, q, b: equilibrium_entropy_prior(s, q, b),
     "entropy_inequality_check": lambda s, q, b: entropy_inequality_check(s, q, b),
+    "_sweep": lambda s, q, b: _sweep(s, q, [b]),
 }
 
 
@@ -748,3 +749,66 @@ class TestNoWarningEscapesARoute:
             assert len(opened) <= 2, (levels, opened)
             steps.append(len(calls))
         assert min(steps) <= 2 and max(steps) >= 10
+
+
+def _bits(sol) -> tuple:
+    """Every float of a solution, entries included, as its exact hex text."""
+    return (sol.beta.hex(), sol.log_partition.hex(), sol.mean_energy.hex(),
+            sol.entropy_per_particle.hex(),
+            *(x.hex() for x in sol.distribution.entries))
+
+
+def _thousand_levels():
+    rng = np.random.default_rng(17)
+    weights = rng.uniform(0.05, 1.0, 1000)
+    return rng.uniform(0.0, 10.0, 1000).tolist(), (weights / weights.sum()).tolist()
+
+
+SWEEP_SYSTEMS = {
+    "four levels": ([0.0, 1.0, 2.0, 3.0], [0.4, 0.3, 0.2, 0.1]),
+    "uniform": ([0.0, 1.0, 2.0, 3.0], [0.25] * 4),
+    "uniform within 1e-12": ([0.0, 1.0, 2.0, 3.0],
+                             [0.25 + 4e-13, 0.25 - 4e-13, 0.25, 0.25]),
+    "zero priors at both ends": ([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 0.5, 0.0]),
+    "1,000 seeded levels": _thousand_levels(),
+}
+SWEEP_BETAS = [0.0, 1e-10, -1e-10, 0.3, -0.7, 5.0, 1e300, -1e300]
+
+
+class TestSweep:
+    """``_sweep`` is the ``generalized_distribution`` route at each beta, bit
+    for bit, with the closed entropy form and D(p || prior) beside it."""
+
+    @pytest.mark.parametrize("system", SWEEP_SYSTEMS)
+    def test_each_point_is_the_public_route(self, system):
+        levels, priors = SWEEP_SYSTEMS[system]
+        spectrum, prior = EnergySpectrum(levels), ProbabilityVector(priors)
+        expected = {}
+        for beta in SWEEP_BETAS:  # but where ln Z_w leaves float range
+            with contextlib.suppress(NumericError):
+                expected[beta] = generalized_distribution(spectrum, prior, beta)
+        assert len(expected) >= 6
+        rows = _sweep(spectrum, prior, list(expected))
+        assert len(rows) == len(expected)
+        n = spectrum.count
+        for (sol, closed, d), (beta, want) in zip(rows, expected.items()):
+            assert sol == want and _bits(sol) == _bits(want)
+            assert d.hex() == kl_divergence(want.distribution, prior).hex()
+            if system == "zero priors at both ends":
+                assert closed is None
+            elif system.startswith("uniform"):
+                head = 2.0 * math.log(n)
+                form = head + beta * want.mean_energy + want.log_partition
+                assert closed.hex() == form.hex()
+            else:
+                form = equilibrium_entropy_prior(spectrum, prior, beta)
+                assert closed.hex() == form.hex()
+
+    def test_a_point_beyond_float_range_raises_as_the_route_does(self):
+        spectrum = EnergySpectrum([-1e308, -1.0, 1.0, 1e308])
+        prior = uniform_prior(4)
+        with pytest.raises(NumericError) as public:
+            generalized_distribution(spectrum, prior, 1e300)
+        with pytest.raises(NumericError) as swept:
+            _sweep(spectrum, prior, [0.0, 1e300, 0.0])
+        assert str(swept.value) == str(public.value)

@@ -7,6 +7,8 @@ and their base, nothing more. The exact-enumeration cap is one constant, not
 a parameter, and ``core`` imports nothing that loads numpy. Only
 ``combinatorics`` applies the cap, only ``core._fsum`` sums an array
 exactly, and only ``equilibrium._family_arrays`` finds the support mask.
+The kernel's internals stay in ``equilibrium``: the CLI reaches it through
+``generalized_distribution``, ``solve_beta`` and the grid ``_sweep`` only.
 """
 
 import ast
@@ -170,3 +172,23 @@ def test_one_owner_of_the_support_mask():
         and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
     ]
     assert found == ["equilibrium._family_arrays(log_prior)"]
+
+
+def test_kernel_internals_stay_in_equilibrium():
+    # every kernel-built distribution comes from one of equilibrium's routes
+    internals = {"_quiet", "_family_arrays", "_exponential_family", "_prior_entropy"}
+    found = sorted(
+        f"{module}.{name}" for module, tree in TREES.items() if module != "equilibrium"
+        for node in ast.walk(tree)
+        for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None))
+        if name in internals
+    )
+    assert found == []
+    from_equilibrium = {
+        alias.name for node in ast.walk(TREES["cli"])
+        if isinstance(node, ast.ImportFrom) and node.level
+        and node.module == "equilibrium"
+        for alias in node.names
+    }
+    assert from_equilibrium == {"generalized_distribution", "solve_beta", "_sweep"}
