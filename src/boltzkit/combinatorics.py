@@ -50,19 +50,16 @@ def _log_weight(occ: Sequence[int]) -> float:
     return _log_factorial(sum(occ)) - math.fsum(map(_log_factorial, occ))
 
 
-def _log_probability(occ: Sequence[int], log_prior: Sequence[float]) -> float:
-    """ln(W prod(prior_i ** N_i)) from ln prior_i, -inf where prior_i <= 0."""
-    log_p = _log_weight(occ)
-    for count, lq in zip(occ, log_prior):
-        if count:
-            if lq == -math.inf:
-                return -math.inf
-            log_p += count * lq
-    return log_p
-
-
 def _log_priors(prior: Sequence[float]) -> list[float]:
     return [-math.inf if q <= 0.0 else math.log(q) for q in prior]
+
+
+def _integer_priors(priors: Sequence) -> tuple[list[int], int]:
+    """(a, D): rational priors q_i, floats converted exactly, as integers a_i
+    over their common denominator D, q_i = a_i / D. The exact checks' one system."""
+    q = [Fraction(x) for x in priors]
+    d = math.lcm(*(x.denominator for x in q))
+    return [x.numerator * (d // x.denominator) for x in q], d
 
 
 @dataclass(frozen=True)
@@ -215,7 +212,13 @@ def log_macrostate_probability(
     """
     p = prior.entries if isinstance(prior, ProbabilityVector) else tuple(prior)
     _same_length(len(p), len(m.occupations), "priors")
-    return _log_probability(m.occupations, _log_priors(p))
+    log_p = _log_weight(m.occupations)
+    for count, lq in zip(m.occupations, _log_priors(p)):
+        if count:
+            if lq == -math.inf:
+                return -math.inf
+            log_p += count * lq
+    return log_p
 
 
 def macrostate_probability_exact(

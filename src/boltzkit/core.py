@@ -31,19 +31,13 @@ def _reals(values: Iterable, what: str) -> tuple[float, ...]:
         raise ValidationError(f"{what} must be real numbers: {exc}") from None
 
 
-#: Entries from which _fsum extracts in numpy instead of calling math.fsum.
-_FSUM_ARRAY_MIN = 450
-
-
 def _fsum(a) -> float:
-    """math.fsum(a.tolist()) for a float64 array: the same bits, sign of zero
-    and errors. By error-free extraction (Rump, Ogita and Oishi 2008): with
-    max|a| < 2**e and sigma = 2**(e + bit_length(n) + 1), q = (a + sigma) -
-    sigma, a - q and q.sum() are exact; fsum rounds the sums of q once."""
-    n = len(a)
-    if n < _FSUM_ARRAY_MIN:
-        return math.fsum(a.tolist())
+    """math.fsum(a.tolist()) for a float64 array of any size: the same bits,
+    sign of zero and errors, by error-free extraction (Rump, Ogita and Oishi
+    2008): with max|a| < 2**e and sigma = 2**(e + bit_length(n) + 1), q = (a +
+    sigma) - sigma, a - q and q.sum() are exact; fsum rounds the sums of q once."""
     import numpy as np
+    n = len(a)
     limit, parts = math.ldexp(1.0, 1022 - n.bit_length()), []
     while top := float(np.maximum.reduce(np.abs(a), initial=0.0)):
         if not top < limit:  # sigma would overflow, or a holds inf or nan
@@ -285,7 +279,7 @@ def load_spec(path: str) -> SystemSpec:
             raw = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read spec file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, parser limits
         raise ValidationError(f"malformed JSON in {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("spec file must contain a JSON object")

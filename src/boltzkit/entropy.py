@@ -42,8 +42,11 @@ def _entropy(nats: float, k: float) -> EntropyValue:
 
 
 def _x_log(xs: Iterable, tops: Iterable, bottoms: Iterable) -> float:
-    """sum(x ln(top/bottom)) over the x > 0, summed exactly: 0 ln(.) = 0."""
-    return math.fsum(x * math.log(t / b) for x, t, b in zip(xs, tops, bottoms) if x > 0)
+    """sum(x ln(top/bottom)) over the x > 0, summed exactly: 0 ln(.) = 0. A
+    ratio that rounds to 0 or overflows takes ln top - ln bottom."""
+    return math.fsum(x * (math.log(r) if 0.0 < (r := t / b) < math.inf
+                          else math.log(t) - math.log(b))
+                     for x, t, b in zip(xs, tops, bottoms) if x > 0)
 
 
 def shannon_entropy(p: ProbabilityVector, k: float = 1.0) -> EntropyValue:

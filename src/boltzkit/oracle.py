@@ -18,11 +18,11 @@ from typing import Sequence
 
 from .combinatorics import (
     _exact_weight,
+    _integer_priors,
     _log_priors,
     _sums,
     _terms,
     _top,
-    macrostate_probability_exact,
 )
 from .core import (
     EnergySpectrum,
@@ -119,8 +119,7 @@ def check_normalization_and_means(
     _same_length(len(prior), spec.spectrum.count, "exact priors")
     n_levels = spec.spectrum.count
     total_n = spec.particles
-    denominator = math.lcm(*(q.denominator for q in prior))
-    a = [q.numerator * (denominator // q.denominator) for q in prior]
+    a, denominator = _integer_priors(prior)
     total_t = 0
     moments = [0] * max(n_levels, 2)  # zip with the priors drops a phantom level
     for head, r, _, factor, _, (s, sx) in _terms(total_n, n_levels, a, _sums):
@@ -184,10 +183,11 @@ def check_most_probable_state(spec: SystemSpec, beta: float) -> OracleReport:
     beta. Compositions are scored by their float ln P, a run at a time: only
     runs whose best score (factor + the max of their row) reaches the floor
     have their members scored. Those within a slack far above the rounding
-    of the best score are compared exactly, by W prod(Fraction(p_i) ** N_i),
-    and the first exact maximum in lexicographic order wins, whatever the
-    order of the float sums. It must sit within max-norm n/N of the
-    continuous distribution. ``exact_value`` records the argmax vector.
+    of the best score are compared exactly, in integers, by W prod(a_i ** N_i)
+    with p_i = a_i / D (D ** N is common to all); the first exact maximum in
+    lexicographic order wins, whatever the order of the float sums. It must
+    sit within max-norm n/N of the continuous distribution. ``exact_value``
+    records the argmax vector.
     """
     p = generalized_distribution(spec.spectrum, spec.prior, beta).distribution
     total_n = spec.particles
@@ -195,8 +195,8 @@ def check_most_probable_state(spec: SystemSpec, beta: float) -> OracleReport:
 
     # ln P sums terms of size up to ln N! + |ln P|, so its rounding is far below
     # this slack: the exact maximum is kept, a -inf (P = 0) never. One exact scan
-    # (Fraction(p_i) over their lcm, ~2**56) takes about 2x (2.1-2.2x) this
-    # screen on oracle-enum's instances.
+    # (the a_i over D, ~2**56) takes about 2x (2.1-2.2x) this screen on
+    # oracle-enum's instances.
     scale = 1.0 + 2.0 * math.lgamma(total_n + 1)
     top = floor = -math.inf
     runs: list[tuple] = []  # (score, head, r, xs, factor, row) reaching the floor
@@ -211,9 +211,8 @@ def check_most_probable_state(spec: SystemSpec, beta: float) -> OracleReport:
     near = [(*head, x, r - x)[:n_levels]  # drop a phantom
             for _, head, r, xs, factor, row in runs for x in xs
             if factor + row[x] >= floor]
-    exact_p = [Fraction(q) for q in p.entries]
-    best = max(near, key=lambda occ: macrostate_probability_exact(
-        Macrostate(occ), exact_p))
+    a, _ = _integer_priors(p.entries)
+    best = max(near, key=lambda occ: _exact_weight(occ) * math.prod(map(pow, a, occ)))
     distance = max(abs(x / total_n - q) for x, q in zip(best, p.entries))
     tol = n_levels / total_n
     return _report(

@@ -24,7 +24,6 @@ from boltzkit.combinatorics import (
     CompositionSet,
     _exact_weight,
     _log_priors,
-    _log_probability,
     _runs,
     _sum,
     _sums,
@@ -235,7 +234,7 @@ class TestTerms:
                         want *= ai**count
                     assert factor * row[x] == want, (a, occ)
                     terms.append(want)
-                    want = _log_probability(occ, log_a)
+                    want = log_macrostate_probability(Macrostate(occ), a)
                     value = log_factor + log_row[x]
                     if want == -math.inf:
                         assert value == -math.inf, (a, occ)

@@ -264,9 +264,9 @@ def _fsum_result(f, values):
 
 
 def _fsum_cases():
-    """Seeded float64 arrays, by class, on both sides of the crossover."""
+    """Seeded float64 arrays, by class, from empty to 2,000 entries."""
     rng = np.random.default_rng(1717)
-    sizes = [0, 1, 2, core._FSUM_ARRAY_MIN - 1, core._FSUM_ARRAY_MIN, 2000]
+    sizes = [0, 1, 2, 449, 450, 2000]
     for n in sizes:
         p = rng.uniform(0.05, 1.0, n)
         p /= max(p.sum(), 1.0)
@@ -290,18 +290,14 @@ class TestExactSum:
 
     @given(st.lists(st.floats(width=64), max_size=40), st.integers(1, 60))
     def test_equals_fsum_in_both_branches(self, xs, copies):
-        # a copy of the list repeated to 40 x 60 entries reaches the
-        # extraction branch; the same sign of zero, the same error
+        # the list and a copy repeated to up to 40 x 60 entries: the same
+        # sign of zero, the same error, short or long
         for values in (xs, xs * copies):
             want = _fsum_result(math.fsum, values)
             assert _fsum_result(core._fsum, np.array(values, dtype=float)) == want
 
-    @pytest.mark.parametrize("array_min", [0, None, 10**9],
-                             ids=["extraction", "crossover", "fsum"])
-    def test_seeded_classes(self, monkeypatch, array_min):
+    def test_seeded_classes(self):
         cases = list(_fsum_cases())
-        if array_min is not None:
-            monkeypatch.setattr(core, "_FSUM_ARRAY_MIN", array_min)
         off = 0
         for kind, a in cases:
             want = _fsum_result(math.fsum, a.tolist())

@@ -163,8 +163,8 @@ class TestKullbackLeibler:
     @pytest.mark.parametrize("n", [2, 500])
     @pytest.mark.parametrize("reference", [1e-10, 1e308 / 4.5])
     def test_divergence_beyond_float_range_is_inf(self, n, reference):
-        # 1e308 ln(1e318) overflows a term; 1.5e308 terms overflow their sum
-        # (math.fsum below 450 entries, the array pass from there); quietly
+        # 1e308 ln(1e318) overflows a term; 1.5e308 terms overflow their
+        # exact sum, at 2 entries as at 500; quietly
         assert kl_divergence([1e308] * n, [reference] * n) == math.inf
 
     @pytest.mark.parametrize("p, q, want", [
@@ -348,6 +348,22 @@ class TestNegentropyRelation:
             mean = total * mean / mean.sum()
             lhs, rhs = negentropy_relation(Macrostate(occ), mean)
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+    @pytest.mark.parametrize("occ, mean, value", [
+        ([1, 0], [1e-320, 1.0], -math.log(1e-320)),  # 736.827...
+        ([1, 1], [5e-324, 2.0], -math.log(5e-324) - math.log(2.0)),
+    ])
+    def test_ratio_beyond_float_range(self, occ, mean, value):
+        # 1 / mean overflows, and in the Stirling reference 5e-324 / 2 rounds
+        # to 0: those terms take ln x - ln mean, as kl_divergence's do
+        want = kl_divergence(occ, mean)
+        assert want == pytest.approx(value, rel=1e-15)
+        m = Macrostate(occ)
+        assert occupation_cross_entropy(m, mean) == want
+        lhs, rhs = negentropy_relation(m, mean)
+        assert lhs == want
+        assert rhs == pytest.approx(want, rel=1e-15)
 
 
 class TestOneXLogSum:

@@ -6,7 +6,10 @@ raised once, in ``core``, by message. ``errors`` defines the three families
 and their base, nothing more. The exact-enumeration cap is one constant, not
 a parameter, and ``core`` imports nothing that loads numpy. Only
 ``combinatorics`` applies the cap, only ``core._fsum`` sums an array
-exactly, and only ``equilibrium._family_arrays`` finds the support mask.
+exactly, only ``equilibrium._family_arrays`` finds the support mask, and only
+``combinatorics._integer_priors`` puts exact priors over their common
+denominator; the oracle decides without the tests' reference
+``macrostate_probability_exact``.
 The kernel's internals stay in ``equilibrium``: the CLI reaches it through
 ``generalized_distribution``, ``solve_beta`` and the grid ``_sweep`` only.
 """
@@ -157,6 +160,22 @@ def test_one_exact_array_sum():
                 for arg in node.args for sub in ast.walk(arg))
     ]
     assert set(found) == {"core._fsum"}
+
+
+def test_one_integer_system_for_exact_priors():
+    # the a_i over D of every exact check come from one helper, and the
+    # oracle does not share the exact probability its tests compare with
+    found = [
+        f"{module}.{func.name}" for module, tree in TREES.items()
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "math.lcm"
+    ]
+    assert found == ["combinatorics._integer_priors"]
+    names = {name for node in ast.walk(TREES["oracle"])
+             for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                          getattr(node, "name", None))}
+    assert "macrostate_probability_exact" not in names
 
 
 def test_one_owner_of_the_support_mask():

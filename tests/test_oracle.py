@@ -254,7 +254,9 @@ class TestMostProbableState:
                 prior=ProbabilityVector(priors),
                 particles=total,
             )
-            for beta in (0.0, 1.0):
+            # at beta = 740 a two-level p has a subnormal entry, so the
+            # common denominator of its entries is 2**1074
+            for beta in (0.0, 1.0, 740.0):
                 p = generalized_distribution(
                     spec.spectrum, spec.prior, beta
                 ).distribution

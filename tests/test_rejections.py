@@ -2,6 +2,8 @@
 no other test reaches."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -14,9 +16,19 @@ from boltzkit.oracle import default_suite
 
 def _spec_file(tmp_path, text):
     path = tmp_path / "spec.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     return str(path)
 
+
+#: Spec files that json.load cannot decode, each a "malformed JSON" error.
+UNDECODABLE = {
+    "not-utf8": b'{"levels": [0, 1], "priors": [0.5, 0.5], "N": 2, "\xff": 0}',
+    "nested-200000-deep": b"[" * 200_000 + b"]" * 200_000,
+    "N-of-4301-digits": b'{"levels": [0, 1], "priors": [0.5, 0.5], "N": 1'
+                        + b"0" * 4300 + b"}",
+    "level-of-4301-digits": b'{"levels": [0, 1' + b"0" * 4300
+                            + b'], "priors": [0.5, 0.5], "N": 2}',
+}
 
 CASES = {
     "solve_beta-unresolvable-target": (
@@ -36,6 +48,9 @@ CASES = {
     "load_spec-json-array": (
         lambda tmp: load_spec(_spec_file(tmp, json.dumps([[0, 1], [0.5, 0.5], 2]))),
         ValidationError, "must contain a JSON object"),
+    **{f"load_spec-{name}": (
+        lambda tmp, data=data: load_spec(_spec_file(tmp, data)),
+        ValidationError, "malformed JSON in") for name, data in UNDECODABLE.items()},
     "validate_spec-levels-not-an-array": (
         lambda tmp: validate_spec({"levels": "0 1", "priors": [0.5, 0.5], "N": 2}),
         ValidationError, "must be arrays"),
@@ -50,3 +65,16 @@ def test_rejected_input(tmp_path, case):
     call, error, message = CASES[case]
     with pytest.raises(error, match=message):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_undecodable_spec_file_exits_2(tmp_path, name):
+    proc = subprocess.run(
+        [sys.executable, "-m", "boltzkit", "distribution",
+         "--spec", _spec_file(tmp_path, UNDECODABLE[name]), "--beta", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "\nerror: malformed JSON in " in proc.stderr
+    assert "Traceback" not in proc.stderr
