@@ -35,10 +35,6 @@ def statistical_weight(m: Macrostate) -> StatWeight:
     return StatWeight(_exact_weight(m.occupations), _log_weight(m.occupations))
 
 
-def _log_factorial(x: int) -> float:
-    return math.lgamma(x + 1)
-
-
 def _exact_weight(occ: Sequence[int]) -> int:
     w = math.factorial(sum(occ))
     for x in occ:
@@ -47,7 +43,7 @@ def _exact_weight(occ: Sequence[int]) -> int:
 
 
 def _log_weight(occ: Sequence[int]) -> float:
-    return _log_factorial(sum(occ)) - math.fsum(map(_log_factorial, occ))
+    return math.lgamma(sum(occ) + 1) - math.fsum(math.lgamma(x + 1) for x in occ)
 
 
 def _log_priors(prior: Sequence[float]) -> list[float]:
@@ -148,7 +144,7 @@ def _terms(
     comps.require_within_cap()
     total, parts = comps.total, comps.parts
     if log:
-        log_factorial = [_log_factorial(x) for x in range(total + 1)]
+        log_factorial = [math.lgamma(x + 1) for x in range(total + 1)]
         unit, times = 0.0, operator.add
         # x * ln 0 would be nan at x = 0
         powers = [[x * la if x else 0.0 for x in range(total + 1)] for la in a]

@@ -24,9 +24,13 @@ PRIOR_RENORM_TOL = 1e-9
 
 
 def _reals(values: Iterable, what: str) -> tuple[float, ...]:
-    """``float()`` of each value; what it refuses is a ValidationError."""
+    """``float()`` of each value; what it refuses, and a bool (Python's or
+    numpy's, checked once per distinct type), is a ValidationError."""
     try:
-        return tuple(float(x) for x in values)
+        values = tuple(values)
+        if any(t.__name__ in ("bool", "bool_") for t in set(map(type, values))):
+            raise TypeError("a boolean is not a number")  # float() would take it
+        return tuple(map(float, values))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be real numbers: {exc}") from None
 
@@ -96,15 +100,19 @@ def _size(n, what: str, least: int = 1) -> int:
     return size
 
 
-def _boltzmann_k(k) -> float:
-    """Boltzmann's constant as a float: a finite real > 0, not a bool."""
+def _real(x) -> float:
+    """x as a float if it is a real number, not a bool or a string; else NaN."""
     try:
-        real = isinstance(k, numbers.Real) and not isinstance(k, bool)
-        value = float(k) if real else math.nan
+        real = isinstance(x, numbers.Real) and not isinstance(x, bool)
+        return float(x) if real else math.nan
     except OverflowError:
-        value = math.inf
-    if not 0.0 < value < math.inf:
-        raise ValidationError(f"boltzmann_k {k!r} must be a finite real > 0")
+        return math.inf
+
+
+def _positive(x, what: str = "boltzmann_k") -> float:
+    """Boltzmann's constant (or h_nu) as a float: a finite real > 0."""
+    if not 0.0 < (value := _real(x)) < math.inf:
+        raise ValidationError(f"{what} {x!r} must be a finite real > 0")
     return value
 
 
@@ -233,7 +241,7 @@ class SystemSpec:
     def __post_init__(self):
         _same_length(len(self.prior), self.spectrum.count, "priors")
         object.__setattr__(self, "particles", _size(self.particles, "particle count"))
-        object.__setattr__(self, "boltzmann_k", _boltzmann_k(self.boltzmann_k))
+        object.__setattr__(self, "boltzmann_k", _positive(self.boltzmann_k))
 
 
 _SPEC_FIELDS = {"levels", "priors", "N", "k"}

@@ -14,28 +14,32 @@ from itertools import repeat
 from typing import Iterable, Sequence
 
 from .combinatorics import _log_weight
-from .core import (Macrostate, ProbabilityVector, _boltzmann_k, _same_length, _size,
-                   _total)
+from .core import (Macrostate, ProbabilityVector, _positive, _reals, _same_length,
+                   _size, _total)
 from .errors import ValidationError
 
 #: Tolerance on sum(mean occupations) == N.
 MEAN_SUM_TOL = 1e-9
 
+#: The smallest normal float: a ratio below it keeps too few bits for its log.
+_NORMAL = 2.0**-1022
+
 
 @dataclass(frozen=True)
 class EntropyValue:
-    """An entropy in units of the Boltzmann constant it was computed with,
-    which passes the k rule and is stored as a float."""
+    """An entropy in units of the Boltzmann constant it was computed with;
+    the value (a real, not a bool) and k (the k rule) are stored as floats."""
 
     value: float
     k_used: float
 
     def __post_init__(self):
-        object.__setattr__(self, "k_used", _boltzmann_k(self.k_used))
+        object.__setattr__(self, "value", _reals((self.value,), "entropy values")[0])
+        object.__setattr__(self, "k_used", _positive(self.k_used))
 
 
 def _entropy(nats: float, k: float) -> EntropyValue:
-    """k * nats: EntropyValue checks k once, then the product is stored."""
+    """k * nats: EntropyValue checks nats and k, then the product is stored."""
     entropy = EntropyValue(value=nats, k_used=k)
     object.__setattr__(entropy, "value", entropy.k_used * nats + 0.0)  # not -0.0
     return entropy
@@ -43,8 +47,8 @@ def _entropy(nats: float, k: float) -> EntropyValue:
 
 def _x_log(xs: Iterable, tops: Iterable, bottoms: Iterable) -> float:
     """sum(x ln(top/bottom)) over the x > 0, summed exactly: 0 ln(.) = 0. A
-    ratio that rounds to 0 or overflows takes ln top - ln bottom."""
-    return math.fsum(x * (math.log(r) if 0.0 < (r := t / b) < math.inf
+    ratio below ``_NORMAL`` or beyond float range takes ln top - ln bottom."""
+    return math.fsum(x * (math.log(r) if _NORMAL <= (r := t / b) < math.inf
                           else math.log(t) - math.log(b))
                      for x, t, b in zip(xs, tops, bottoms) if x > 0)
 
@@ -81,10 +85,11 @@ def exact_boltzmann_entropy(m: Macrostate, k: float = 1.0) -> EntropyValue:
 
 
 def _masses(values: Sequence[float], what: str):
-    """A sequence's masses as a float64 array; a NaN or inf one is refused
-    (a ProbabilityVector's are finite and >= 0 by construction)."""
+    """A sequence's masses as a float64 array, through ``_reals`` unless a
+    float array; a NaN or inf one is refused (a ProbabilityVector's cannot be)."""
     import numpy as np
-    a = np.asarray(values, dtype=float)
+    floats = isinstance(values, np.ndarray) and values.dtype.kind == "f"
+    a = np.asarray(values if floats else _reals(values, what + "es"), dtype=float)
     not_finite = ~(np.abs(a) < np.inf)  # NaN compares false
     if not_finite.any():
         i = int(not_finite.argmax())
@@ -111,8 +116,9 @@ def kl_divergence(
     if not mass.all():
         a, b = a[mass], b[mass]
     with np.errstate(over="ignore", divide="ignore"):  # a D beyond float range is inf
-        terms = np.log(a / b)
-        off = np.isinf(terms)  # a / b is 0 or inf: ln a - ln b there
+        ratio = a / b
+        terms = np.log(ratio)
+        off = ~((ratio >= _NORMAL) & (ratio < np.inf))  # _x_log's rule
         if off.any():
             terms[off] = np.log(a[off]) - np.log(b[off])
         d = _total(a * terms)
@@ -126,16 +132,16 @@ def kl_cross_entropy(
 
     Nonpositive, and zero exactly when p == p0 on their common support.
     """
-    return -_size(N, "particle count") * _boltzmann_k(k) * kl_divergence(p, p0)
+    return -_size(N, "particle count") * _positive(k) * kl_divergence(p, p0)
 
 
 def _check_mean(m: Macrostate, mean: Sequence[float]) -> tuple[float, ...]:
-    mn = tuple(float(x) for x in mean)
+    mn = _reals(mean, "mean occupations")
     _same_length(len(mn), len(m.occupations), "mean occupations")
     for x in mn:
         if not (x >= 0.0) or not math.isfinite(x):
             raise ValidationError(f"mean occupation {x!r} is not a nonnegative real")
-    total = math.fsum(mn)
+    total = _total(mn)
     if abs(total - m.total) > MEAN_SUM_TOL:
         raise ValidationError(
             f"mean occupations sum to {total!r}, macrostate has {m.total}"
@@ -155,7 +161,7 @@ def occupation_cross_entropy(
     KL divergence of the empirical frequencies from mean/N).
     """
     mn = _check_mean(m, mean)
-    return _boltzmann_k(k) * _x_log(m.occupations, m.occupations, mn)
+    return _positive(k) * _x_log(m.occupations, m.occupations, mn)
 
 
 def negentropy_relation(
@@ -172,7 +178,7 @@ def negentropy_relation(
     S_ref and the entropy of the mean vector itself is an asymptotic
     statement, exercised by the convergence checks in the oracle module.
     """
-    mn, k = _check_mean(m, mean), _boltzmann_k(k)
+    mn, k = _check_mean(m, mean), _positive(k)
     occ, n_total = m.occupations, repeat(m.total)
     s_state = -k * _x_log(occ, occ, n_total)
     s_ref = -k * _x_log(occ, mn, n_total)
@@ -188,6 +194,8 @@ def einstein_probability(s: EntropyValue, s_ref: EntropyValue) -> float:
     """
     if abs(s.k_used - s_ref.k_used) > 1e-12 * max(abs(s.k_used), abs(s_ref.k_used)):
         raise ValidationError(f"k {s.k_used!r} vs {s_ref.k_used!r}")
+    if math.isnan(s.value - s_ref.value):
+        raise ValidationError(f"entropy {s.value!r} - reference {s_ref.value!r} is nan")
     if s.value > s_ref.value + 1e-12:
         raise ValidationError(
             f"entropy {s.value!r} exceeds reference {s_ref.value!r}"

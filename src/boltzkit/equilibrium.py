@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EnergySpectrum, ProbabilityVector, _boltzmann_k, _fsum,
+from .core import (EnergySpectrum, ProbabilityVector, _fsum, _positive,
                    _same_length, _size)
 from .errors import InfeasibleError, NumericError, ValidationError
 
@@ -293,7 +293,7 @@ def equilibrium_entropy_uniform(
     -k N sum(p ln p) of the same distribution (exposed separately via
     ``EquilibriumSolution.entropy_per_particle``).
     """
-    k_n = _boltzmann_k(k) * _size(N, "particle count")
+    k_n = _positive(k) * _size(N, "particle count")
     with _quiet():
         energies, log_prior, support = _family_arrays(spectrum, None)
         _, log_z, mean = _exponential_family(energies, log_prior, beta, support)
@@ -316,7 +316,7 @@ def equilibrium_entropy_prior(
     partition sum is Z/n there); the inequality between the two forms is
     what ``entropy_inequality_check`` reports.
     """
-    k_n = _boltzmann_k(k) * _size(N, "particle count")
+    k_n = _positive(k) * _size(N, "particle count")
     with _quiet():
         energies, log_prior, support = _family_arrays(spectrum, prior)
         prior_entropy = _prior_entropy(prior, log_prior, support)

@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import EnergySpectrum, ProbabilityVector, _size, uniform_prior
+from .core import (EnergySpectrum, ProbabilityVector, _positive, _real, _size,
+                   uniform_prior)
 from .errors import NumericError, ValidationError
 
 
@@ -37,8 +38,7 @@ class OscillatorModel:
     truncation: int = 256
 
     def __post_init__(self):
-        if not (self.h_nu > 0.0 and math.isfinite(self.h_nu)):
-            raise ValidationError(f"h_nu {self.h_nu!r} must be a positive real")
+        object.__setattr__(self, "h_nu", _positive(self.h_nu, "h_nu"))
         object.__setattr__(self, "truncation", _size(self.truncation, "truncation"))
 
 
@@ -62,24 +62,6 @@ def _tail(numerator: float, power: float) -> float:
     return numerator / power if power else math.inf
 
 
-def _tail_g0(x: float, y: float, m: int) -> float:
-    # sum_{i>=m} x^i
-    return _tail(x**m, y)
-
-
-def _tail_g1(x: float, y: float, m: int) -> float:
-    # sum_{i>=m} i x^i
-    return _tail(x**m * (m - (m - 1) * x), y**2)
-
-
-def _tail_g2(x: float, y: float, m: int) -> float:
-    # sum_{i>=m} i^2 x^i
-    return _tail(
-        x**m * (m * m - (2 * m * m - 2 * m - 1) * x + (m - 1) ** 2 * x * x),
-        y**3,
-    )
-
-
 def mean_energy_series(model: OscillatorModel, beta: float) -> tuple[float, float]:
     """Truncated-series mean energy and a rigorous truncation-error bound.
 
@@ -98,18 +80,21 @@ def mean_energy_series(model: OscillatorModel, beta: float) -> tuple[float, floa
     # Boltzmann factors shifted by the ground level, so nothing overflows
     # and the leading term is exactly 1 (even when x underflows to 0).
     u = [x**j for j in range(L)]
-    # Tails below are written over j = i - 1 so no division by x is needed:
-    # sum_{i>L} f(i) x^(i-1) = sum_{j>=L} f(j+1) x^j.
+    # The tails g_n = sum_{i>=L} i^n x^i from one x^L, over j = i - 1 so no
+    # division by x is needed: sum_{i>L} f(i) x^(i-1) = sum_{j>=L} f(j+1) x^j.
+    xL = x**L
+    g0 = _tail(xL, y)
+    g1 = _tail(xL * (L - (L - 1) * x), y**2)
     if model.dimensionality is Dimensionality.LINEAR_1D:
         den = math.fsum(u)
         num = math.fsum((j + 0.5) * w for j, w in enumerate(u))  # h_nu units
-        tail_z = _tail_g0(x, y, L)
-        tail_e = _tail_g1(x, y, L) + 0.5 * _tail_g0(x, y, L)
+        tail_z, tail_e = g0, g1 + 0.5 * g0
     else:
         den = math.fsum((j + 1) * w for j, w in enumerate(u))
         num = math.fsum((j + 1) * (j + 1) * w for j, w in enumerate(u))
-        tail_z = _tail_g1(x, y, L) + _tail_g0(x, y, L)
-        tail_e = _tail_g2(x, y, L) + 2.0 * _tail_g1(x, y, L) + _tail_g0(x, y, L)
+        g2 = _tail(xL * (L * L - (2 * L * L - 2 * L - 1) * x + (L - 1) ** 2 * x * x),
+                   y**3)
+        tail_z, tail_e = g1 + g0, g2 + 2.0 * g1 + g0
     ratio = num / den
     tail_bound = model.h_nu * (tail_e + tail_z * ratio) / den
     return model.h_nu * ratio, tail_bound
@@ -122,6 +107,8 @@ def auto_truncation(
     max_levels: int = 1_000_000,
 ) -> OscillatorModel:
     """Smallest power-of-two-scaled truncation whose tail bound meets tol."""
+    if not _real(tol) >= 0.0:
+        raise ValidationError(f"tol {tol!r} must be a real >= 0")
     L = max(2, model.truncation)
     while True:
         candidate = OscillatorModel(model.h_nu, model.dimensionality, L)
@@ -130,7 +117,7 @@ def auto_truncation(
             return candidate
         if L >= max_levels:
             raise NumericError(
-                f"tail bound {bound:.3e} > {tol:.3e} at the cap {max_levels}"
+                f"tail bound {bound:.3e} > {float(tol):.3e} at the cap {max_levels}"
             )
         L = min(2 * L, max_levels)
 

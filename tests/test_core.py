@@ -43,6 +43,14 @@ class TestEnergySpectrum:
         with pytest.raises(ValidationError):
             EnergySpectrum([bad, 1.0])
 
+    @pytest.mark.parametrize(
+        "bad", [[True, False], [0.5, True], np.array([True, False])],
+        ids=["bools", "one-bool", "numpy-bools"])
+    def test_rejects_booleans(self, bad):
+        for build in (EnergySpectrum, ProbabilityVector):
+            with pytest.raises(ValidationError, match="a boolean is not a number"):
+                build(bad)
+
     def test_still_coerces_numeric_strings(self):
         assert EnergySpectrum(["1.5", 2]).levels == (1.5, 2.0)
 
@@ -636,6 +644,13 @@ class TestOneOwnerPerRule:
         with pytest.raises(ValidationError, match="boltzmann_k"):
             _k_routes()[route](k)
 
+    @pytest.mark.parametrize("h_nu", JUNK_K, ids=lambda k: repr(k)[:12])
+    def test_junk_h_nu_follows_the_k_rule(self, h_nu):
+        from boltzkit import OscillatorModel
+        from boltzkit.oscillators import Dimensionality
+        with pytest.raises(ValidationError, match=r"^h_nu .* must be a finite real > 0$"):
+            OscillatorModel(h_nu, Dimensionality.LINEAR_1D)
+
     @pytest.mark.parametrize("route", sorted(_count_routes()))
     @pytest.mark.parametrize("n", JUNK_COUNT, ids=repr)
     def test_junk_count(self, route, n):
@@ -657,6 +672,13 @@ class TestOneOwnerPerRule:
         model = OscillatorModel(1.0, Dimensionality.LINEAR_1D, np.int64(4))
         assert type(model.truncation) is int
         assert len(uniform_prior(np.int64(4))) == 4
+
+    def test_h_nu_is_stored_as_a_float(self):
+        from boltzkit import OscillatorModel
+        from boltzkit.oscillators import Dimensionality
+        for h_nu in (2, np.float32(2.0), np.int64(2)):
+            model = OscillatorModel(h_nu, Dimensionality.PLANAR_2D)
+            assert type(model.h_nu) is float and model.h_nu == 2.0
 
     def test_entropy_value_stores_k_as_a_float(self):
         from boltzkit import shannon_entropy

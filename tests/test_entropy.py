@@ -176,6 +176,13 @@ class TestKullbackLeibler:
         # about -1.4e-297, not 1e-300 ln 0 = -inf; quietly
         assert kl_divergence(p, q) == want
 
+    def test_ratio_below_the_smallest_normal_float(self):
+        # 3.5e-323 / 3 rounds to 1e-323, 2 of its 7/3 units of 5e-324: the
+        # term takes ln a - ln b, as _x_log's do, and the last bit shows it
+        want = math.fsum([1e-310 * math.log(1e-310 / 5e-324),
+                          3.5e-323 * (math.log(3.5e-323) - math.log(3.0))])
+        assert kl_divergence([1e-310, 3.5e-323], [5e-324, 3.0]) == want
+
     @given(
         st.integers(min_value=2, max_value=8),
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -268,6 +275,16 @@ class TestKullbackLeiblerArrayPass:
             with pytest.raises(ValidationError) as exc:
                 kl_divergence(convert(p), convert(q))
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("p, q, message", [
+        ([True, False], [0.5, 0.5], "^masses must be real numbers: a boolean"),
+        (np.array([True, False]), [0.5, 0.5], "^masses must be real numbers: a boolean"),
+        ([1.0, 0.0], [0.5, "a"], "^reference masses must be real numbers: could not"),
+    ])
+    def test_non_numbers_are_validation_errors(self, p, q, message):
+        # float() took the booleans as a point mass
+        with pytest.raises(ValidationError, match=message):
+            kl_divergence(p, q)
 
     def test_non_finite_reference_beside_a_vector(self):
         with pytest.raises(ValidationError, match="reference mass nan at entry 1"):
@@ -365,6 +382,12 @@ class TestNegentropyRelation:
         assert lhs == want
         assert rhs == pytest.approx(want, rel=1e-15)
 
+    def test_ratio_below_the_smallest_normal_float(self):
+        # in the Stirling reference 3.5e-323 / 3 rounds to 1e-323, which put
+        # rhs at 741.837 against lhs 741.683; it takes ln mean - ln N now
+        lhs, rhs = negentropy_relation(Macrostate([1, 2]), [3.5e-323, 3.0])
+        assert lhs == rhs == pytest.approx(741.6832315561096, rel=1e-15)
+
 
 class TestOneXLogSum:
     """Every sum x ln(x/r) in the module runs through one helper; the
@@ -431,6 +454,22 @@ class TestEinsteinProbability:
     def test_exceeds_reference(self):
         with pytest.raises(ValidationError, match="exceeds reference"):
             einstein_probability(EntropyValue(1.0, 1.0), EntropyValue(0.0, 1.0))
+
+    @pytest.mark.parametrize("value, ref", [
+        (math.nan, 0.0), (0.0, math.nan), (math.inf, math.inf), (-math.inf, -math.inf),
+    ])
+    def test_nan_difference(self, value, ref):
+        # S - S_ref is nan: the result was 1.0
+        with pytest.raises(ValidationError, match="is nan$"):
+            einstein_probability(EntropyValue(value, 1.0), EntropyValue(ref, 1.0))
+
+    def test_value_is_a_real_stored_as_a_float(self):
+        for value in (2, "2.0", np.float32(2.0)):
+            s = EntropyValue(value, 1)
+            assert type(s.value) is float and s.value == 2.0
+        for value in (True, "two", None):
+            with pytest.raises(ValidationError, match="^entropy values must be real"):
+                EntropyValue(value, 1.0)
 
     def test_convergence_to_exact_probability(self):
         """The fluctuation formula approaches the exact multinomial

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from boltzkit import (
     oscillator_as_system,
 )
 from boltzkit.errors import NumericError, ValidationError
-from boltzkit.oscillators import _tail_g0, _tail_g1, _tail_g2
 
 LIN = Dimensionality.LINEAR_1D
 PLA = Dimensionality.PLANAR_2D
@@ -30,16 +30,25 @@ def numpy_series(model, beta):
     y = -math.expm1(-beta * model.h_nu)
     i = np.arange(1, L + 1, dtype=float)
     u = x ** (i - 1.0)
+
+    def tail(numerator, power):
+        return numerator / power if power else math.inf
+
+    # the closed geometric tails sum_{i>=L} i^n x^i, n = 0, 1, 2
+    g0 = tail(x**L, y)
+    g1 = tail(x**L * (L - (L - 1) * x), y**2)
+    g2 = tail(x**L * (L * L - (2 * L * L - 2 * L - 1) * x + (L - 1) ** 2 * x * x),
+              y**3)
     if model.dimensionality is LIN:
         den = float(np.sum(u))
         num = float(np.sum((i - 0.5) * u))
-        tail_z = _tail_g0(x, y, L)
-        tail_e = _tail_g1(x, y, L) + 0.5 * _tail_g0(x, y, L)
+        tail_z = g0
+        tail_e = g1 + 0.5 * g0
     else:
         den = float(np.sum(i * u))
         num = float(np.sum(i * i * u))
-        tail_z = _tail_g1(x, y, L) + _tail_g0(x, y, L)
-        tail_e = _tail_g2(x, y, L) + 2.0 * _tail_g1(x, y, L) + _tail_g0(x, y, L)
+        tail_z = g1 + g0
+        tail_e = g2 + 2.0 * g1 + g0
     ratio = num / den
     return model.h_nu * ratio, model.h_nu * (tail_e + tail_z * ratio) / den
 
@@ -106,6 +115,20 @@ class TestClosedForm:
             auto_truncation(OscillatorModel(1.0, LIN), 0.0, tol=1e-6)
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [None, "1e-6", True, math.nan, -1.0, -math.inf],
+                             ids=repr)
+    def test_tol_is_a_real_at_least_0(self, tol):
+        # nan and -1.0 ran every doubling up to the cap
+        with pytest.raises(ValidationError, match=r"^tol .* must be a real >= 0$"):
+            auto_truncation(OscillatorModel(1.0, LIN), 1.0, tol, max_levels=8)
+
+    def test_tol_of_0_and_inf(self):
+        model = OscillatorModel(1.0, LIN, 4)
+        assert auto_truncation(model, 1.0, math.inf) == model
+        assert auto_truncation(model, 1.0, 0, max_levels=2048).truncation == 1024
+
+
 class TestSeries:
     def test_matches_closed_form_at_unit_beta(self):
         for dim, expected in ((LIN, 0.5 + 1 / (math.e - 1)),
@@ -137,6 +160,10 @@ class TestSeries:
     def test_auto_truncation_cap(self):
         with pytest.raises(NumericError, match="at the cap 64"):
             auto_truncation(OscillatorModel(1.0, PLA), 1e-4, tol=1e-12,
+                            max_levels=64)
+        # a Fraction's format takes no "e" before Python 3.12
+        with pytest.raises(NumericError, match="> 1.000e-12 at the cap 64"):
+            auto_truncation(OscillatorModel(1.0, PLA), 1e-4, tol=Fraction(1, 10**12),
                             max_levels=64)
 
     @pytest.mark.parametrize("dim", [LIN, PLA])

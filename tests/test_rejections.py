@@ -30,6 +30,9 @@ UNDECODABLE = {
                             + b'], "priors": [0.5, 0.5], "N": 2}',
 }
 
+#: A spec whose priors float() would take as 1.0 and 0.0: a point mass.
+BOOLEAN_PRIORS = '{"levels": [0, 1], "priors": [true, false], "N": 2}'
+
 CASES = {
     "solve_beta-unresolvable-target": (
         lambda tmp: solve_beta(EnergySpectrum([0.0, 1e308]), uniform_prior(2), 1e-320),
@@ -42,6 +45,15 @@ CASES = {
     "mean-occupation-not-finite": (
         lambda tmp: occupation_cross_entropy(Macrostate([1, 1]), [float("inf"), 1.0]),
         ValidationError, "mean occupation inf is not a nonnegative real"),
+    "mean-occupation-sum-overflows": (
+        lambda tmp: occupation_cross_entropy(Macrostate([1, 1]), [1e308, 1e308]),
+        ValidationError, "mean occupations sum to inf, macrostate has 2"),
+    "mean-occupation-a-string": (
+        lambda tmp: occupation_cross_entropy(Macrostate([1, 1]), ["a", 1.0]),
+        ValidationError, "mean occupations must be real numbers: could not convert"),
+    "mean-occupation-null": (
+        lambda tmp: occupation_cross_entropy(Macrostate([1, 1]), [None, 1.0]),
+        ValidationError, "mean occupations must be real numbers: float"),
     "load_spec-missing-file": (
         lambda tmp: load_spec(str(tmp / "absent.json")),
         ValidationError, "cannot read spec file"),
@@ -51,6 +63,9 @@ CASES = {
     **{f"load_spec-{name}": (
         lambda tmp, data=data: load_spec(_spec_file(tmp, data)),
         ValidationError, "malformed JSON in") for name, data in UNDECODABLE.items()},
+    "load_spec-boolean-priors": (
+        lambda tmp: load_spec(_spec_file(tmp, BOOLEAN_PRIORS)),
+        ValidationError, "priors must be real numbers: a boolean is not a number"),
     "validate_spec-levels-not-an-array": (
         lambda tmp: validate_spec({"levels": "0 1", "priors": [0.5, 0.5], "N": 2}),
         ValidationError, "must be arrays"),
@@ -77,4 +92,16 @@ def test_undecodable_spec_file_exits_2(tmp_path, name):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "\nerror: malformed JSON in " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_boolean_priors_exit_2(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "boltzkit", "distribution",
+         "--spec", _spec_file(tmp_path, BOOLEAN_PRIORS), "--beta", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "\nerror: priors must be real numbers: a boolean" in proc.stderr
     assert "Traceback" not in proc.stderr
