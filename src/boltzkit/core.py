@@ -101,7 +101,8 @@ def _size(n, what: str, least: int = 1) -> int:
 
 
 def _real(x) -> float:
-    """x as a float if it is a real number, not a bool or a string; else NaN."""
+    """The scalar rule of k, h_nu and tol: x as a float if a real number, not a
+    bool or a string, else NaN (``_reals``, the sequence rule, takes strings)."""
     try:
         real = isinstance(x, numbers.Real) and not isinstance(x, bool)
         return float(x) if real else math.nan

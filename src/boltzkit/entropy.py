@@ -34,12 +34,13 @@ class EntropyValue:
     k_used: float
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _reals((self.value,), "entropy values")[0])
+        if type(self.value) is not float:  # _entropy's own nats are floats already
+            object.__setattr__(self, "value", *_reals((self.value,), "entropy values"))
         object.__setattr__(self, "k_used", _positive(self.k_used))
 
 
 def _entropy(nats: float, k: float) -> EntropyValue:
-    """k * nats: EntropyValue checks nats and k, then the product is stored."""
+    """k * nats: EntropyValue checks k once, then the product is stored."""
     entropy = EntropyValue(value=nats, k_used=k)
     object.__setattr__(entropy, "value", entropy.k_used * nats + 0.0)  # not -0.0
     return entropy
@@ -85,11 +86,10 @@ def exact_boltzmann_entropy(m: Macrostate, k: float = 1.0) -> EntropyValue:
 
 
 def _masses(values: Sequence[float], what: str):
-    """A sequence's masses as a float64 array, through ``_reals`` unless a
-    float array; a NaN or inf one is refused (a ProbabilityVector's cannot be)."""
+    """A sequence's masses as a float64 array, through ``_reals``; a NaN or inf
+    one is refused (a ProbabilityVector's cannot be)."""
     import numpy as np
-    floats = isinstance(values, np.ndarray) and values.dtype.kind == "f"
-    a = np.asarray(values if floats else _reals(values, what + "es"), dtype=float)
+    a = np.asarray(_reals(values, what + "es"), dtype=float)
     not_finite = ~(np.abs(a) < np.inf)  # NaN compares false
     if not_finite.any():
         i = int(not_finite.argmax())

@@ -109,16 +109,15 @@ def auto_truncation(
     """Smallest power-of-two-scaled truncation whose tail bound meets tol."""
     if not _real(tol) >= 0.0:
         raise ValidationError(f"tol {tol!r} must be a real >= 0")
-    L = max(2, model.truncation)
+    L = min(max(2, model.truncation), max_levels)
     while True:
         candidate = OscillatorModel(model.h_nu, model.dimensionality, L)
         _, bound = mean_energy_series(candidate, beta)
         if bound <= tol:
             return candidate
         if L >= max_levels:
-            raise NumericError(
-                f"tail bound {bound:.3e} > {float(tol):.3e} at the cap {max_levels}"
-            )
+            raise NumericError(f"tail bound {bound:.3e} > {float(tol):.3e} "
+                               f"at the cap {max_levels}")
         L = min(2 * L, max_levels)
 
 

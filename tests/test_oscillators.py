@@ -166,6 +166,16 @@ class TestSeries:
             auto_truncation(OscillatorModel(1.0, PLA), 1e-4, tol=Fraction(1, 10**12),
                             max_levels=64)
 
+    def test_cap_below_the_model_truncation(self):
+        # the search started at the model's 256 levels, past the cap, and
+        # reported their bound as the bound at the cap
+        bound = mean_energy_series(OscillatorModel(1.0, LIN, 8), 1.0)[1]
+        message = rf"^tail bound {bound:.3e} > 0\.000e\+00 at the cap 8$"
+        with pytest.raises(NumericError, match=message):
+            auto_truncation(OscillatorModel(1.0, LIN), 1.0, 0.0, max_levels=8)
+        assert auto_truncation(OscillatorModel(1.0, LIN), 1.0, 1.0,
+                               max_levels=8).truncation == 8
+
     @pytest.mark.parametrize("dim", [LIN, PLA])
     def test_tail_bound_finite_where_exp_rounds_to_one(self, dim):
         # exp(-1e-18) == 1.0, so 1 - x would be 0; the bound must still hold
