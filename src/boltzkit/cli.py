@@ -24,8 +24,7 @@ import sys
 from . import __version__
 from .core import SystemSpec, load_spec
 from .errors import InfeasibleError, NumericError, ValidationError
-from .oscillators import (Dimensionality, OscillatorModel, mean_energy_closed,
-                          mean_energy_series)
+from .oscillators import OscillatorModel, mean_energy_closed, mean_energy_series
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -178,9 +177,8 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_oscillator(args, out) -> int:
-    dim = Dimensionality(args.dim)
     model = OscillatorModel(
-        h_nu=args.h_nu, dimensionality=dim, truncation=args.levels
+        h_nu=args.h_nu, dimensionality=args.dim, truncation=args.levels
     )
     header = [
         "beta", "closed_form_energy", "series_energy",

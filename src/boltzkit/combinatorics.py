@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .core import Macrostate, ProbabilityVector, _same_length, _size
+from .core import Macrostate, ProbabilityVector, _reals, _same_length, _size
 from .errors import ValidationError
 
 #: The one cap on exact enumeration and eager materialization of a set.
@@ -48,6 +48,18 @@ def _log_weight(occ: Sequence[int]) -> float:
 
 def _log_priors(prior: Sequence[float]) -> list[float]:
     return [-math.inf if q <= 0.0 else math.log(q) for q in prior]
+
+
+def _rational(x, what: str) -> Fraction:
+    """x as an exact Fraction: a finite real >= 0 (or a numeral string) that
+    Fraction accepts, not a bool."""
+    try:
+        q = None if isinstance(x, bool) else Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        q = None  # not a number, or NaN, inf or x/0
+    if q is None or q < 0:
+        raise ValidationError(f"{what} {x!r} is not a rational >= 0")
+    return q
 
 
 def _integer_priors(priors: Sequence) -> tuple[list[int], int]:
@@ -201,12 +213,18 @@ def _top(xs: Sequence[int], row: list):  # -inf for a run without members
 def log_macrostate_probability(
     m: Macrostate, prior: ProbabilityVector | Sequence[float]
 ) -> float:
-    """ln of the multinomial probability of m under per-particle priors.
+    """ln of the multinomial probability of m under per-particle priors, or
+    of its term W prod(a_i ** N_i) under weights a_i: finite reals >= 0, not
+    bools (``core._reals``).
 
     Returns -inf when some occupied level has zero prior. Raises on
     arity mismatch.
     """
-    p = prior.entries if isinstance(prior, ProbabilityVector) else tuple(prior)
+    p = (prior.entries if isinstance(prior, ProbabilityVector)
+         else _reals(prior, "prior weights"))
+    for q in p:
+        if not 0.0 <= q < math.inf:  # catches negatives and NaN
+            raise ValidationError(f"prior weight {q!r} is not a finite real >= 0")
     _same_length(len(p), len(m.occupations), "priors")
     log_p = _log_weight(m.occupations)
     for count, lq in zip(m.occupations, _log_priors(p)):
@@ -220,12 +238,14 @@ def log_macrostate_probability(
 def macrostate_probability_exact(
     m: Macrostate, prior: Sequence[Fraction]
 ) -> Fraction:
-    """Exact-rational multinomial probability for rational priors."""
+    """Exact-rational multinomial probability for rational priors, each a
+    rational >= 0 that Fraction accepts, not a bool."""
     _same_length(len(prior), len(m.occupations), "priors")
     out = Fraction(_exact_weight(m.occupations))
     for count, q in zip(m.occupations, prior):
+        q = _rational(q, "prior weight")
         if count:
-            out *= Fraction(q) ** count
+            out *= q ** count
     return out
 
 

@@ -10,7 +10,7 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Mapping
 
@@ -217,7 +217,7 @@ class Macrostate:
     """Occupation numbers [N_1..N_n], counts >= 0; ``total`` is their sum."""
 
     occupations: tuple[int, ...]
-    total: int = field(default=-1)
+    total: int
 
     def __init__(self, occupations: Iterable[int]):
         values = tuple(_size(x, "occupation", 0) for x in occupations)
@@ -232,7 +232,9 @@ class Macrostate:
 @dataclass(frozen=True)
 class SystemSpec:
     """Full problem statement: spectrum, per-level priors, particle count, k.
-    It checks them, and stores ``particles`` as an int, ``boltzmann_k`` as a float."""
+    It checks them, and stores levels and priors given as sequences as an
+    EnergySpectrum and a ProbabilityVector, ``particles`` as an int and
+    ``boltzmann_k`` as a float."""
 
     spectrum: EnergySpectrum
     prior: ProbabilityVector
@@ -240,6 +242,9 @@ class SystemSpec:
     boltzmann_k: float = 1.0
 
     def __post_init__(self):
+        for name, kind in (("spectrum", EnergySpectrum), ("prior", ProbabilityVector)):
+            if not isinstance(value := getattr(self, name), kind):
+                object.__setattr__(self, name, kind(value))
         _same_length(len(self.prior), self.spectrum.count, "priors")
         object.__setattr__(self, "particles", _size(self.particles, "particle count"))
         object.__setattr__(self, "boltzmann_k", _positive(self.boltzmann_k))
@@ -273,9 +278,7 @@ def validate_spec(raw: Mapping[str, Any] | SystemSpec) -> SystemSpec:
     spectrum = EnergySpectrum(levels)
     p = _reals(priors, "priors")
     total = _check_probabilities(p, tol=PRIOR_RENORM_TOL)
-    prior = ProbabilityVector(x / total for x in p)
-    return SystemSpec(spectrum=spectrum, prior=prior, particles=raw["N"],
-                      boltzmann_k=raw.get("k", 1.0))
+    return SystemSpec(spectrum, [x / total for x in p], raw["N"], raw.get("k", 1.0))
 
 
 def load_spec(path: str) -> SystemSpec:

@@ -34,16 +34,13 @@ class EntropyValue:
     k_used: float
 
     def __post_init__(self):
-        if type(self.value) is not float:  # _entropy's own nats are floats already
-            object.__setattr__(self, "value", *_reals((self.value,), "entropy values"))
+        object.__setattr__(self, "value", *_reals((self.value,), "entropy values"))
         object.__setattr__(self, "k_used", _positive(self.k_used))
 
 
 def _entropy(nats: float, k: float) -> EntropyValue:
-    """k * nats: EntropyValue checks k once, then the product is stored."""
-    entropy = EntropyValue(value=nats, k_used=k)
-    object.__setattr__(entropy, "value", entropy.k_used * nats + 0.0)  # not -0.0
-    return entropy
+    """k * nats, once k is checked by the k rule."""
+    return EntropyValue(_positive(k) * nats + 0.0, k)  # + 0.0: not -0.0
 
 
 def _x_log(xs: Iterable, tops: Iterable, bottoms: Iterable) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EnergySpectrum, ProbabilityVector, _fsum, _positive,
+from .core import (EnergySpectrum, ProbabilityVector, _fsum, _positive, _real,
                    _same_length, _size)
 from .errors import InfeasibleError, NumericError, ValidationError
 
@@ -51,6 +51,14 @@ def _quiet() -> np.errstate:
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
+def _beta(beta) -> float:
+    """beta as a float where it enters a route: a finite real, not a bool or a
+    string (k's rule, ``core._real``); the solver's own steps are not checked."""
+    if not math.isfinite(value := _real(beta)):
+        raise ValidationError(f"beta must be finite, got {beta!r}")
+    return value
+
+
 def _family_arrays(
     spectrum: EnergySpectrum, prior: ProbabilityVector | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -71,13 +79,12 @@ def _exponential_family(
     support: np.ndarray | None,
 ) -> tuple[np.ndarray, float, float]:
     """p_i = exp(log_prior_i - beta E_i) / Z_w, ln Z_w and <E>, with
-    ``_family_arrays``' support mask, under its route's ``_quiet``.
+    ``_family_arrays``' support mask, at a finite float beta (``_beta``),
+    under its route's ``_quiet``.
 
     ln Z_w = shift + ln(sum w) - beta anchor, where the anchor is the
     supported level that dominates for the sign of beta.
     """
-    if not math.isfinite(beta):
-        raise ValidationError(f"beta must be finite, got {beta!r}")
     extreme, far = (np.minimum, np.inf) if beta >= 0.0 else (np.maximum, -np.inf)
     anchor = float(extreme.reduce(energies) if support is None
                    else extreme.reduce(energies, initial=far, where=support))
@@ -102,6 +109,7 @@ def _solution(arrays, beta: float) -> EquilibriumSolution:
     """The kernel on ``_family_arrays``' triple at beta, with the Gibbs entropy
     -sum(p ln p), 0 ln 0 = 0, under its route's ``_quiet``."""
     energies, log_prior, support = arrays
+    beta = _beta(beta)
     p, log_z, mean = _exponential_family(energies, log_prior, beta, support)
     entropy = float(-np.add.reduce(p * np.log(np.where(p > 0.0, p, 1.0))))
     return EquilibriumSolution(beta, log_z, ProbabilityVector._adopt(p), mean,
@@ -185,8 +193,9 @@ def solve_beta(
     its distance from the nearer end of the range.
     """
     with _quiet():
+        given, target_mean_energy = target_mean_energy, _real(target_mean_energy)
         if not math.isfinite(target_mean_energy):
-            raise ValidationError(f"target {target_mean_energy!r} must be finite")
+            raise ValidationError(f"target {given!r} must be finite")
         levels, log_prior, support = _family_arrays(spectrum, prior)
         if support is not None:  # from here on, the supported levels only
             levels, log_prior = levels[support], log_prior[support]
@@ -296,6 +305,7 @@ def equilibrium_entropy_uniform(
     k_n = _positive(k) * _size(N, "particle count")
     with _quiet():
         energies, log_prior, support = _family_arrays(spectrum, None)
+        beta = _beta(beta)
         _, log_z, mean = _exponential_family(energies, log_prior, beta, support)
     return k_n * (math.log(spectrum.count) + beta * mean + log_z)
 
@@ -320,6 +330,7 @@ def equilibrium_entropy_prior(
     with _quiet():
         energies, log_prior, support = _family_arrays(spectrum, prior)
         prior_entropy = _prior_entropy(prior, log_prior, support)
+        beta = _beta(beta)
         _, log_z, mean = _exponential_family(energies, log_prior, beta, support)
     return k_n * (prior_entropy + beta * mean + log_z)
 

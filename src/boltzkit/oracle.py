@@ -20,12 +20,12 @@ from .combinatorics import (
     _exact_weight,
     _integer_priors,
     _log_priors,
+    _rational,
     _sums,
     _terms,
     _top,
 )
 from .core import (
-    EnergySpectrum,
     Macrostate,
     ProbabilityVector,
     SystemSpec,
@@ -112,10 +112,11 @@ def check_normalization_and_means(
 
     Floats are exact rationals, so the default path converts the stored
     prior exactly; pass ``exact_prior`` when the intended rational (say
-    1/3) is not float-representable.
+    1/3) is not float-representable; each of its entries must be a rational
+    >= 0 that Fraction accepts.
     """
     given = spec.prior.entries if exact_prior is None else exact_prior
-    prior = [Fraction(q) for q in given]
+    prior = [_rational(q, "exact prior") for q in given]
     _same_length(len(prior), spec.spectrum.count, "exact priors")
     n_levels = spec.spectrum.count
     total_n = spec.particles
@@ -284,14 +285,6 @@ def check_weight_dominance(n: int, n_schedule: Sequence[int]) -> list[OracleRepo
 
 # -- default suite ----------------------------------------------------------
 
-def _spec(levels, priors, particles: int) -> SystemSpec:
-    return SystemSpec(
-        spectrum=EnergySpectrum(levels),
-        prior=ProbabilityVector([float(q) for q in priors]),
-        particles=particles,
-    )
-
-
 def default_suite(scale: str = "quick") -> list[OracleReport]:
     """Canonical oracle run. ``quick`` keeps N <= 12; ``full`` raises the
     enumeration ceiling to N = 20 and adds the convergence schedules.
@@ -314,7 +307,7 @@ def default_suite(scale: str = "quick") -> list[OracleReport]:
             ([0.0, 0.5, 2.0], [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)], 20)
         )
     for levels, fractions, particles in norm_instances:
-        spec = _spec(levels, fractions, particles)
+        spec = SystemSpec(levels, fractions, particles)
         reports.extend(check_normalization_and_means(spec, fractions))
 
     mode_instances = [
@@ -323,7 +316,7 @@ def default_suite(scale: str = "quick") -> list[OracleReport]:
         ([0.0, 1.0, 2.0], [0.5, 0.3, 0.2], 12),
     ]
     for levels, priors, particles in mode_instances:
-        spec = _spec(levels, priors, particles)
+        spec = SystemSpec(levels, priors, particles)
         for beta in (0.0, 1.0):
             reports.append(check_most_probable_state(spec, beta))
 

@@ -31,7 +31,8 @@ class Dimensionality(Enum):
 
 @dataclass(frozen=True)
 class OscillatorModel:
-    """Oscillator ensemble: energy quantum, dimensionality, truncation depth."""
+    """Oscillator ensemble: energy quantum, dimensionality ("1d", "2d" or a
+    Dimensionality, stored as a Dimensionality), truncation depth."""
 
     h_nu: float
     dimensionality: Dimensionality
@@ -39,13 +40,25 @@ class OscillatorModel:
 
     def __post_init__(self):
         object.__setattr__(self, "h_nu", _positive(self.h_nu, "h_nu"))
+        try:
+            dim = Dimensionality(self.dimensionality)
+        except ValueError:
+            raise ValidationError(f"dimensionality {self.dimensionality!r} "
+                                  "is not '1d' or '2d'") from None
+        object.__setattr__(self, "dimensionality", dim)
         object.__setattr__(self, "truncation", _size(self.truncation, "truncation"))
+
+
+def _beta(beta) -> float:
+    """beta as a float: a real > 0, not a bool or a string (``core._real``)."""
+    if not (value := _real(beta)) > 0.0:
+        raise ValidationError(f"beta {beta!r} must be positive")
+    return value
 
 
 def mean_energy_closed(model: OscillatorModel, beta: float) -> float:
     """Closed-form mean energy per oscillator at inverse temperature beta."""
-    if not (beta > 0.0):
-        raise ValidationError(f"beta {beta!r} must be positive")
+    beta = _beta(beta)
     x = beta * model.h_nu
     linear = model.dimensionality is Dimensionality.LINEAR_1D
     ground, modes = (0.5, 1.0) if linear else (1.0, 2.0)
@@ -72,8 +85,7 @@ def mean_energy_series(model: OscillatorModel, beta: float) -> tuple[float, floa
     a, b, |(A+a)/(B+b) - A/B| <= (a + b A/B)/B. ``auto_truncation`` picks
     the truncation whose bound meets a tolerance.
     """
-    if not (beta > 0.0):
-        raise ValidationError(f"beta {beta!r} must be positive")
+    beta = _beta(beta)
     L = model.truncation
     x = math.exp(-beta * model.h_nu)
     y = -math.expm1(-beta * model.h_nu)  # 1 - x, > 0 even where x rounds to 1

@@ -154,6 +154,27 @@ class TestMacrostateProbability:
         p = ProbabilityVector([1.0, 0.0])
         assert log_macrostate_probability(Macrostate([1, 1]), p) == -math.inf
 
+    @pytest.mark.parametrize("weights, shown", [
+        ([0.5, "a"], "'a'"),
+        ([math.nan, 0.5], "nan"),
+        ([0.5, math.inf], "inf"),
+        ([-0.5, 1.5], "-0.5"),
+        ([True, False], "True"),
+    ], ids=["string", "nan", "inf", "negative", "bool"])
+    def test_raw_weights_follow_the_sequence_rule(self, weights, shown):
+        m = Macrostate([1, 1])
+        with pytest.raises(ValidationError):
+            log_macrostate_probability(m, weights)
+        with pytest.raises(ValidationError,
+                           match=rf"^prior weight {shown} is not a rational >= 0$"):
+            macrostate_probability_exact(m, weights)
+
+    def test_unnormalized_weights_stay_accepted(self):
+        m = Macrostate([1, 1])
+        assert log_macrostate_probability(m, [2, 0]) == -math.inf
+        assert log_macrostate_probability(m, [2, 3]) == pytest.approx(math.log(12))
+        assert macrostate_probability_exact(m, [2, "1/3"]) == Fraction(4, 3)
+
     def test_exact_rational_path(self):
         prior = [Fraction(1, 4), Fraction(3, 4)]
         got = macrostate_probability_exact(Macrostate([1, 1]), prior)

@@ -524,6 +524,21 @@ class TestValidateSpec:
             boltzmann_k=2.0,
         )
 
+    def test_sequences_become_value_types(self):
+        spec = SystemSpec([0, 1], [0.5, 0.5], 2)
+        assert spec == validate_spec({"levels": [0, 1], "priors": [0.5, 0.5], "N": 2})
+        assert isinstance(spec.spectrum, EnergySpectrum)
+        assert isinstance(spec.prior, ProbabilityVector)
+
+    def test_list_prior_is_checked(self):
+        with pytest.raises(ValidationError, match=r"^probabilities sum to 1\.1,"):
+            SystemSpec(EnergySpectrum([0, 1]), [0.5, 0.6], 2)
+
+    def test_list_spectrum_of_the_wrong_length(self):
+        with pytest.raises(ValidationError,
+                           match=r"^length mismatch: 2 priors for 3 levels$"):
+            SystemSpec([0, 1, 2], [0.5, 0.5], 2)
+
     def test_load_spec_malformed(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

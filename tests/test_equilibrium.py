@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -235,6 +236,47 @@ class TestSolveBeta:
         assert sol.beta == 0.0
         with pytest.raises(InfeasibleError, match="all supported levels have energy"):
             solve_beta(spectrum, prior, 1.2)
+
+
+def _beta_routes():
+    """Every equilibrium entry point that takes beta, as beta -> call."""
+    from boltzkit import SystemSpec, check_most_probable_state
+    prior = ProbabilityVector([0.25, 0.75])
+    return {
+        "boltzmann_distribution": lambda b: boltzmann_distribution(TWO_LEVEL, b),
+        "generalized_distribution": lambda b: generalized_distribution(
+            TWO_LEVEL, prior, b),
+        "entropy_uniform": lambda b: equilibrium_entropy_uniform(TWO_LEVEL, b),
+        "entropy_prior": lambda b: equilibrium_entropy_prior(TWO_LEVEL, prior, b),
+        "entropy_inequality_check": lambda b: entropy_inequality_check(
+            TWO_LEVEL, prior, b),
+        "check_most_probable_state": lambda b: check_most_probable_state(
+            SystemSpec(TWO_LEVEL, prior, 4), b),
+    }
+
+
+class TestBetaFollowsTheRealRule:
+    """beta, and solve_beta's target, are real numbers, as k is: a bool, a
+    string, None or a complex number is a ValidationError naming it."""
+
+    @pytest.mark.parametrize("route", sorted(_beta_routes()))
+    @pytest.mark.parametrize("beta", [True, "1", None, 1j], ids=repr)
+    def test_junk_beta(self, route, beta):
+        with pytest.raises(ValidationError,
+                           match=rf"^beta must be finite, got {re.escape(repr(beta))}$"):
+            _beta_routes()[route](beta)
+
+    @pytest.mark.parametrize("target", [True, "0.3", None, 0.3j], ids=repr)
+    def test_junk_target(self, target):
+        with pytest.raises(ValidationError,
+                           match=rf"^target {re.escape(repr(target))} must be finite$"):
+            solve_beta(TWO_LEVEL, uniform_prior(2), target)
+
+    def test_beta_is_stored_as_a_float(self):
+        for route in (lambda b: boltzmann_distribution(TWO_LEVEL, b),
+                      lambda b: generalized_distribution(TWO_LEVEL, uniform_prior(2), b)):
+            sol = route(1)
+            assert type(sol.beta) is float and sol == route(1.0)
 
 
 class TestEquilibriumEntropies:

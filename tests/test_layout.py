@@ -12,6 +12,8 @@ denominator; the oracle decides without the tests' reference
 ``macrostate_probability_exact``.
 The kernel's internals stay in ``equilibrium``: the CLI reaches it through
 ``generalized_distribution``, ``solve_beta`` and the grid ``_sweep`` only.
+A frozen value type converts and checks its fields in its own constructor,
+so no caller builds a ``Dimensionality`` for ``OscillatorModel``.
 """
 
 import ast
@@ -211,3 +213,32 @@ def test_kernel_internals_stay_in_equilibrium():
         for alias in node.names
     }
     assert from_equilibrium == {"generalized_distribution", "solve_beta", "_sweep"}
+
+
+def _calls(name: str):
+    """(module, qualified enclosing function) of each call whose callee
+    unparses to ``name``."""
+    def walk(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from walk(child, module, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == name:
+                yield module, owner
+            yield from walk(child, module, owner)
+    for module, tree in TREES.items():
+        yield from walk(tree, module, module)
+
+
+def test_value_types_set_their_fields_only_while_constructed():
+    # a frozen value type converts and checks its own fields, in its
+    # constructor; no function rewrites an instance after it is built
+    owners = sorted({owner for _, owner in _calls("object.__setattr__")})
+    assert owners and all(
+        owner.rsplit(".", 1)[1] in ("__init__", "__post_init__")
+        and owner.split(".")[1][:1].isupper() for owner in owners), owners
+
+
+def test_only_oscillators_builds_a_dimensionality():
+    # OscillatorModel takes "1d" and "2d"; callers pass them through
+    assert {module for module, _ in _calls("Dimensionality")} == {"oscillators"}

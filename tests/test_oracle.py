@@ -193,6 +193,17 @@ class TestNormalizationAndMeans:
             reports = check_normalization_and_means(spec)
             assert reports[0].passed is False, member
 
+    @pytest.mark.parametrize("exact_prior, shown", [
+        ([-0.5, 1.5], "-0.5"),
+        (["a", 1], "'a'"),
+        ([math.nan, 0.5], "nan"),
+        ([True, False], "True"),
+    ], ids=["negative", "string", "nan", "bool"])
+    def test_exact_prior_entries_are_rationals_at_least_zero(self, exact_prior, shown):
+        with pytest.raises(ValidationError,
+                           match=rf"^exact prior {shown} is not a rational >= 0$"):
+            check_normalization_and_means(two_level_spec([0.5, 0.5], 2), exact_prior)
+
     def test_size_guard(self):
         spec = SystemSpec(
             spectrum=EnergySpectrum([0.0] * 5),

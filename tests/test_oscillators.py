@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -240,6 +241,29 @@ class TestAsSystem:
             OscillatorModel(0.0, LIN)
         with pytest.raises(ValidationError):
             OscillatorModel(1.0, LIN, truncation=0)
+
+    def test_dimensionality_given_by_its_value(self):
+        by_value, by_member = OscillatorModel(1.0, "1d"), OscillatorModel(1.0, LIN)
+        assert by_value == by_member
+        assert OscillatorModel(1.0, "2d").dimensionality is PLA
+        assert mean_energy_closed(by_value, 1.0) == mean_energy_closed(by_member, 1.0)
+        assert mean_energy_series(by_value, 1.0) == mean_energy_series(by_member, 1.0)
+        assert oscillator_as_system(by_value)[0].levels[:3] == (0.5, 1.5, 2.5)
+
+    @pytest.mark.parametrize("dim", ["3d", None, 3, True], ids=repr)
+    def test_unknown_dimensionality(self, dim):
+        with pytest.raises(ValidationError,
+                           match=rf"^dimensionality {re.escape(repr(dim))} is not"):
+            OscillatorModel(1.0, dim)
+
+    @pytest.mark.parametrize("beta", [True, "1", None, 1j], ids=repr)
+    def test_beta_is_a_real_not_a_bool(self, beta):
+        model = OscillatorModel(1.0, LIN)
+        for route in (mean_energy_closed, mean_energy_series,
+                      lambda m, b: auto_truncation(m, b, 1e-6)):
+            with pytest.raises(ValidationError,
+                               match=rf"^beta {re.escape(repr(beta))} must be positive$"):
+                route(model, beta)
 
     def test_equilibrium_route_converges_to_closed_form(self):
         """Feeding the truncated system through the equilibrium module must
