@@ -94,11 +94,11 @@ class CompositionSet:
         return map(Macrostate, self.iter_tuples())
 
     def iter_tuples(self) -> Iterator[tuple[int, ...]]:
-        """Raw member tuples, run by run from ``_runs``, for hot loops."""
-        if self.parts == 1:  # without the phantom level
-            return ((x,) for _, _, xs in _runs(self.total, 1) for x in xs)
-        return ((*head, x, r - x)
-                for head, r, xs in _runs(self.total, self.parts) for x in xs)
+        """Raw member tuples, block by block from ``_runs``, for hot loops."""
+        parts = self.parts  # [-parts:] drops the phantom levels of a small set
+        return ((*outer, y, x, left - y - x)[-parts:]
+                for outer, left, xss in _runs(self.total, parts)
+                for y, xs in enumerate(xss) for x in xs)
 
     def materialize(self) -> list[Macrostate]:
         """Eager list of all members; refuses sets above ``DEFAULT_SIZE_CAP``."""
@@ -112,46 +112,57 @@ class CompositionSet:
                                   f"exceed the cap {DEFAULT_SIZE_CAP}")
 
 
-def _runs(total: int, parts: int) -> Iterator[tuple[tuple[int, ...], int, range]]:
-    """The one walk of a composition set: runs (head, r, xs) in lexicographic
-    order, each standing for the members head + (x, r - x), x in xs =
-    range(r + 1), where ``head`` is all but the last two levels and r the
-    particles it leaves. A one-level set's one run, ((), total, range(total,
-    total + 1)), ends in an empty phantom level."""
-    if parts == 1:
-        yield (), total, range(total, total + 1)
+def _runs(total: int, parts: int) -> Iterator[tuple[tuple[int, ...], int, list]]:
+    """The one walk of a composition set: blocks (outer, left, xss) in
+    lexicographic order. ``outer`` is all but the last three levels, ``left``
+    the particles it leaves, and run y of the block, y = 0..left on the last
+    head level, stands for the members (*outer, y, x, r - x), x in xss[y] =
+    range(r + 1), with r = left - y. A set of one or two levels leads with
+    phantom levels that hold no particle: its one block is ((), total,
+    [range(1)]) or ((), total, [range(total + 1)]), and a member is the last
+    ``parts`` entries of that tuple."""
+    if parts < 3:
+        yield (), total, [range(total + 1 if parts == 2 else 1)]
         return
-    head, r = [0] * (parts - 2), total  # one mutable list
+    spans = [range(r + 1) for r in range(total + 1)]
+    outer, left = [0] * (parts - 3), total  # one mutable list
     while True:
-        yield tuple(head), r, range(r + 1)
-        k = parts - 3
-        if r and k >= 0:  # one more particle on the last head level
-            head[k], r = head[k] + 1, r - 1
+        yield tuple(outer), left, spans[left::-1]
+        k = parts - 4
+        if left and k >= 0:  # one more particle on the last outer level
+            outer[k], left = outer[k] + 1, left - 1
             continue
-        # else one particle of the rightmost occupied head level k goes left
-        while k > 0 and not head[k]:
+        # else one particle of the rightmost occupied outer level k goes left
+        while k > 0 and not outer[k]:
             k -= 1
-        if k <= 0:  # (total, 0, ..., 0) or no head: the walk is complete
+        if k <= 0:  # (total, 0, ..., 0) or no outer level: the walk is complete
             return
-        head[k - 1] += 1
-        head[k], r = 0, head[k] - 1
+        outer[k - 1] += 1
+        outer[k], left = 0, outer[k] - 1
 
 
 def _terms(
     total: int, parts: int, a: Sequence, fold: Callable, log: bool = False
-) -> Iterator[tuple[tuple[int, ...], int, Sequence[int], int | float, list, object]]:
-    """(head, r, xs, factor, row, folded) for each run of ``_runs`` over the
-    composition set (total, parts), which must be within the size cap:
-    member x's term W prod(a_i ** N_i) is factor * row[x], a big integer for
-    integer a_i; with ``log`` the a_i are ln a_i (-inf for a_i = 0) and ln of
-    the term is factor + row[x]. ``folded`` is ``fold(xs, row)``, a sum or
-    max over the run's own members, for the caller to scale by the factor.
+) -> Iterator[tuple[tuple[int, ...], int, list, int | float, list, Callable, list]]:
+    """(outer, left, xss, factor, h, row, folded) for each block of ``_runs``
+    over the composition set (total, parts), which must be within the size
+    cap: the term W prod(a_i ** N_i) of member (*outer, y, x, r - x) is
+    factor * h[y] * row(y)[x], a big integer for integer a_i; with ``log``
+    the a_i are ln a_i (-inf for a_i = 0) and ln of the term is
+    factor + (h[y] + row(y)[x]). folded[y] is ``fold(xss[y], row(y))``, a sum
+    or max over run y's own members, for the caller to weigh by h[y] and
+    scale by the factor, a block at a time.
 
     A term is prod_i C(r_i, N_i) a_i ** N_i, r_i being the particles left for
-    levels i.., so ``factor`` is the head's part and row[x] = C(r, x)
-    a[-2] ** x a[-1] ** (r - x), built with its fold once per r and xs (per
-    run, for up to three levels, where no row recurs). An exact row takes its
-    binomials from C(r, x + 1) = C(r, x) (r - x) // (x + 1), an exact division."""
+    levels i.., so ``factor`` is the outer levels' part, h[y] = C(left, y)
+    a[-3] ** y the last head level's, and row(y)[x] = C(r, x) a[-2] ** x
+    a[-1] ** (r - x). From four levels on, where every block reuses them,
+    each row and its fold is built once per r, and h once per left where
+    left recurs (five levels on); up to three levels the one block streams
+    its rows, built once for the folds and again for each ``row`` call. An
+    exact row takes its binomials from C(r, x + 1) = C(r, x) (r - x) // (x + 1),
+    an exact division. A run whose members are not all of range(r + 1), as
+    in a planted walk, has its fold taken over its own members."""
     comps = CompositionSet(total, parts)
     comps.require_within_cap()
     total, parts = comps.total, comps.parts
@@ -163,37 +174,55 @@ def _terms(
 
         def choose(r, x):
             return log_factorial[r] - log_factorial[x] - log_factorial[r - x]
+
+        def build(r, u, v):
+            return [choose(r, x) + (u[x] + v[r - x]) for x in range(r + 1)]
     else:
         unit, times, choose = 1, operator.mul, math.comb
         powers = [[ai**x for x in range(total + 1)] for ai in a]
-    # a one-level set's phantom last level holds no particle: any a_i will do
-    *lead, before, last = powers if parts > 1 else powers * 2
-    keep, rows = parts > 3, {}  # no row recurs under a one-level head
-    done = None  # the head levels above the last: their part pf is redone on change
-    for head, r, xs in _runs(total, parts):
-        if head[:-1] != done:
-            pf, left, done = unit, total, head[:-1]
+
+        def build(r, u, v):  # c = C(r, x)
+            row, c = [], 1
+            for x in range(r + 1):
+                row.append(c * (u[x] * v[r - x]))
+                c = c * (r - x) // (x + 1)
+            return row
+    ones = [unit] * (total + 1)  # the powers of a phantom level
+    *lead, mid, before, last = [ones] * (3 - parts) + powers
+    keep = parts > 3
+    if keep:
+        rows = [build(r, before, last) for r in range(total + 1)]
+        spans = [range(r + 1) for r in range(total + 1)]
+        folds = list(map(fold, spans, rows))
+    else:  # one block: r = total - y
+
+        def row(y):
+            return build(total - y, before, last)
+    heads = {}  # h by left
+    done = None  # the outer levels above the last: their part pf is redone on change
+    for outer, left, xss in _runs(total, parts):
+        if outer[:-1] != done:
+            pf, rest, done = unit, total, outer[:-1]
             for level, y in zip(lead, done):
-                pf = times(pf, times(choose(left, y), level[y]))
-                left -= y
+                pf = times(pf, times(choose(rest, y), level[y]))
+                rest -= y
         factor = pf
-        if head:  # times the last head level's part, in the same order
-            x = head[-1]
-            factor = times(pf, times(choose(left, x), lead[-1][x]))
-        built = rows.get(r)
-        if built is None or built[0] != xs:
-            if log:
-                row = [choose(r, x) + (before[x] + last[r - x]) for x in range(r + 1)]
-            else:  # c = C(r, x)
-                row, c = [], 1
-                for x in range(r + 1):
-                    row.append(c * (before[x] * last[r - x]))
-                    c = c * (r - x) // (x + 1)
-            built = xs, row, fold(xs, row)
-            if keep:
-                rows[r] = built
-        _, row, folded = built
-        yield head, r, xs, factor, row, folded
+        if outer:  # times the last outer level's part, in the same order
+            y = outer[-1]
+            factor = times(pf, times(choose(rest, y), lead[-1][y]))
+        h = heads.get(left)
+        if h is None:
+            h = build(left, mid, ones) if parts > 2 else [unit]  # a phantom y = 0
+            if parts > 4:
+                heads[left] = h
+        if keep:
+            block = rows[left::-1]
+            row = block.__getitem__
+            folded = (folds[left::-1] if xss == spans[left::-1]
+                      else list(map(fold, xss, block)))
+        else:
+            folded = list(map(fold, xss, map(row, range(len(xss)))))
+        yield outer, left, xss, factor, h, row, folded
 
 
 # folds for ``_terms``, each over the run's own members
@@ -257,5 +286,5 @@ def weight_ratio_probability(m: Macrostate) -> float:
     the multinomial probability at the uniform prior.
     """
     terms = _terms(m.total, len(m.occupations), [1] * len(m.occupations), _sum)
-    w_sum = sum(factor * s for *_, factor, _, s in terms)
+    w_sum = sum(factor * sum(map(operator.mul, h, s)) for *_, factor, h, _, s in terms)
     return float(Fraction(_exact_weight(m.occupations), w_sum))

@@ -14,6 +14,8 @@ import math
 from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import compress
+from operator import add, mul
 from typing import Sequence
 
 from .combinatorics import (
@@ -79,12 +81,15 @@ def format_fraction(value: Fraction) -> str:
 def round_to_macrostate(total: int, p: Sequence[float]) -> Macrostate:
     """Largest-remainder apportionment of total*p into integer occupations.
 
-    Deterministic: leftover units go to the largest fractional parts,
-    ties to the lowest index.
+    Exact: each entry is taken as a rational q_i, and the targets
+    total * q_i / sum(q) sum to total exactly (a float total * q_i loses its
+    units past 2**53), so the occupations do too. Deterministic: leftover
+    units go to the largest fractional parts, ties to the lowest index.
     """
     total = _size(total, "composition total", 0)
-    p = ProbabilityVector(p).entries
-    targets = [total * q for q in p]
+    p = [Fraction(q) for q in ProbabilityVector(p).entries]
+    norm = sum(p)
+    targets = [total * q / norm for q in p]
     base = [math.floor(t) for t in targets]
     leftover = total - sum(base)
     order = sorted(
@@ -103,12 +108,15 @@ def check_normalization_and_means(
     occupation means equal N * prior, by full enumeration.
 
     With the priors over their common denominator D, q_i = a_i / D, each
-    composition's integer term t = W * prod(a_i ** N_i) is factor * row[x]
-    of its run from ``combinatorics._terms``. Every t adds to a sum that
-    must come to D**N, and N_j t to one that must come to N q_j D**N: per
-    run, sum(t) and sum(x t) are the factor times its folds of row[x] and
-    x row[x]; head level j gets head[j] sum(t), the run's two levels sum(x t)
-    and r sum(t) - sum(x t). Only these totals become fractions.
+    composition's integer term t = W * prod(a_i ** N_i) is
+    factor * h[y] * row[x] of its block from ``combinatorics._terms``. Every
+    t adds to a sum that must come to D**N, and N_j t to one that must come
+    to N q_j D**N. Per block, with s_y and sx_y run y's folds of row[x] and
+    x row[x], sum(t) = factor sum(h[y] s_y), sum(y t) = factor sum(y h[y] s_y)
+    and sum(x t) = factor sum(h[y] sx_y), each a C-level sum over y: outer
+    level j gets outer[j] sum(t), the last head level sum(y t), the next
+    sum(x t) and the last left sum(t) - sum(y t) - sum(x t). Only these
+    totals become fractions.
 
     Floats are exact rationals, so the default path converts the stored
     prior exactly; pass ``exact_prior`` when the intended rational (say
@@ -122,14 +130,20 @@ def check_normalization_and_means(
     total_n = spec.particles
     a, denominator = _integer_priors(prior)
     total_t = 0
-    moments = [0] * max(n_levels, 2)  # zip with the priors drops a phantom level
-    for head, r, _, factor, _, (s, sx) in _terms(total_n, n_levels, a, _sums):
-        s, sx = factor * s, factor * sx
-        total_t += s
-        for j, count in enumerate(head):
-            moments[j] += count * s
-        moments[-2] += sx
-        moments[-1] += r * s - sx
+    moments = [0] * max(n_levels, 3)  # a small set's phantom levels lead
+    for outer, left, _, factor, h, _, folded in _terms(total_n, n_levels, a, _sums):
+        s, sx = zip(*folded)
+        hs = list(map(mul, h, s))
+        t = factor * sum(hs)
+        yt = factor * sum(map(mul, range(left + 1), hs))
+        xt = factor * sum(map(mul, h, sx))
+        total_t += t
+        for j, count in enumerate(outer):
+            moments[j] += count * t
+        moments[-3] += yt
+        moments[-2] += xt
+        moments[-1] += left * t - yt - xt
+    moments = moments[-n_levels:]
     scale = denominator**total_n
 
     instance = f"N={total_n} n={n_levels} prior={[str(q) for q in prior]}"
@@ -181,12 +195,14 @@ def check_most_probable_state(spec: SystemSpec, beta: float) -> OracleReport:
     equilibrium distribution.
 
     The per-particle prior is the generalized equilibrium distribution p at
-    beta. Compositions are scored by their float ln P, a run at a time: only
-    runs whose best score (factor + the max of their row) reaches the floor
-    have their members scored. Those within a slack far above the rounding
-    of the best score are compared exactly, in integers, by W prod(a_i ** N_i)
-    with p_i = a_i / D (D ** N is common to all); the first exact maximum in
-    lexicographic order wins, whatever the order of the float sums. It must
+    beta. Compositions are scored by their float ln P, a block at a time: a
+    block whose best score (factor + the max over y of h[y] + run y's row
+    max) misses the floor is passed over whole, and only runs whose best
+    score reaches it have their members scored. Those within a slack far
+    above the rounding of the best score are compared exactly, in integers,
+    by W prod(a_i ** N_i) with p_i = a_i / D (D ** N is common to all); the
+    first exact maximum in lexicographic order wins, whatever the order of
+    the float sums. It must
     sit within max-norm n/N of the continuous distribution. ``exact_value``
     records the argmax vector.
     """
@@ -196,22 +212,29 @@ def check_most_probable_state(spec: SystemSpec, beta: float) -> OracleReport:
 
     # ln P sums terms of size up to ln N! + |ln P|, so its rounding is far below
     # this slack: the exact maximum is kept, a -inf (P = 0) never. One exact scan
-    # (the a_i over D, ~2**56) takes about 2x (2.1-2.2x) this screen on
-    # oracle-enum's instances.
+    # of the same blocks (the a_i over D, ~2**56) takes about 2x (2.1-2.3x)
+    # this screen on oracle-enum's instances.
     scale = 1.0 + 2.0 * math.lgamma(total_n + 1)
     top = floor = -math.inf
-    runs: list[tuple] = []  # (score, head, r, xs, factor, row) reaching the floor
+    runs: list[tuple] = []  # (score, head, r, xs, factor, h[y], row) reaching the floor
     log_p = _log_priors(p.entries)
-    for head, r, xs, factor, row, peak in _terms(total_n, n_levels, log_p, _top, True):
-        lp = factor + peak  # exactly its best member's: rounding is monotone
-        if lp >= floor and lp > -math.inf:
-            if lp > top:
-                top, floor = lp, lp - 1e-9 * (scale + abs(lp))
-                runs = [run for run in runs if run[0] >= floor]
-            runs.append((lp, head, r, xs, factor, row))
-    near = [(*head, x, r - x)[:n_levels]  # drop a phantom
-            for _, head, r, xs, factor, row in runs for x in xs
-            if factor + row[x] >= floor]
+    for outer, left, xss, factor, h, row, peaks in _terms(
+            total_n, n_levels, log_p, _top, True):
+        # each exactly its run's best member's, less the factor: rounding is monotone
+        scores = list(map(add, h, peaks))
+        block_best = factor + max(scores)
+        if block_best < floor or block_best == -math.inf:
+            continue
+        for y, score in enumerate(scores):
+            lp = factor + score
+            if lp >= floor and lp > -math.inf:
+                if lp > top:
+                    top, floor = lp, lp - 1e-9 * (scale + abs(lp))
+                    runs = [run for run in runs if run[0] >= floor]
+                runs.append((lp, (*outer, y), left - y, xss[y], factor, h[y], row(y)))
+    near = [(*head, x, r - x)[-n_levels:]  # drop the phantoms
+            for _, head, r, xs, factor, hy, row in runs for x in xs
+            if factor + (hy + row[x]) >= floor]
     a, _ = _integer_priors(p.entries)
     best = max(near, key=lambda occ: _exact_weight(occ) * math.prod(map(pow, a, occ)))
     distance = max(abs(x / total_n - q) for x, q in zip(best, p.entries))
@@ -274,10 +297,11 @@ def check_weight_dominance(n: int, n_schedule: Sequence[int]) -> list[OracleRepo
                 for total_n in schedule]
     points = []
     for total_n in schedule:  # the ratio is per particle
-        # the head factor is a positive integer, so it scales each run's max;
-        # a run without members (-inf) has none, and its factor may pass float range
-        w_max = max(factor * run_max for _, _, xs, factor, _, run_max
-                    in _terms(total_n, n, [1] * n, _top) if xs)
+        # factor and h[y] are positive integers, so they scale run y's max; a
+        # run without members (-inf) has none, and its h[y] may pass float range
+        w_max = max(factor * max(map(mul, compress(h, xss), compress(tops, xss)))
+                    for _, _, xss, factor, h, _, tops
+                    in _terms(total_n, n, [1] * n, _top) if any(xss))
         points.append((f"N={total_n} n={n}", format_fraction(Fraction(w_max)),
                        math.log(w_max) / (total_n * math.log(n))))
     return _schedule(name, points, increasing=True)

@@ -8,18 +8,20 @@ from boltzkit import combinatorics
 @pytest.fixture
 def drop_members(monkeypatch):
     """Plant a fault in the composition walk: after ``drop_members(lost)``,
-    ``combinatorics._runs`` yields every run with the members in ``lost``
-    (occupation tuples) missing from its xs, a tuple, so that it can key a
-    cache as a range does."""
+    ``combinatorics._runs`` yields every block with the members in ``lost``
+    (occupation tuples) missing from its runs, each run's xs a tuple, so that
+    it never passes for the full range."""
     walk = combinatorics._runs
 
     def plant(lost):
         lost = set(lost)
 
         def runs(total, parts):
-            for head, r, xs in walk(total, parts):
-                yield head, r, tuple(x for x in xs
-                                     if (*head, x, r - x)[:parts] not in lost)
+            for outer, left, xss in walk(total, parts):
+                yield outer, left, [
+                    tuple(x for x in xs
+                          if (*outer, y, x, left - y - x)[-parts:] not in lost)
+                    for y, xs in enumerate(xss)]
 
         monkeypatch.setattr(combinatorics, "_runs", runs)
 

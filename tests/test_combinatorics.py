@@ -203,12 +203,16 @@ class TestWeightRatio:
         with pytest.raises(ValidationError, match="compositions exceed the cap"):
             weight_ratio_probability(Macrostate([100] * 5))
 
-    @pytest.mark.parametrize("occ, size", [((2, 3, 1), 28), ((2, 1, 2, 1), 84)])
+    @pytest.mark.parametrize("occ, size", [
+        ((2, 3, 1), 28), ((2, 1, 2, 1), 84),
+        # blocks under two and three outer levels, which share h by left
+        ((2, 1, 0, 2, 1), 210), ((1, 1, 0, 2, 1, 1), 462),
+    ])
     def test_dropping_any_one_composition_changes_the_ratio(self, drop_members,
                                                             occ, size):
         """The weight sum sees every composition: without any one of them,
-        missing from its run, the ratio is no longer W / n**N. Four levels
-        share rows between runs, and each run must still sum its own."""
+        missing from its run, the ratio is no longer W / n**N. From four
+        levels on blocks share rows, and each run must still sum its own."""
         m = Macrostate(occ)
         want = float(Fraction(brute_weight(occ), len(occ) ** 6))
         assert weight_ratio_probability(m) == want
@@ -229,7 +233,7 @@ def folds(xs, row):
 
 
 class TestTerms:
-    """The per-run terms against the per-composition formulas."""
+    """The per-block terms against the per-composition formulas."""
 
     @pytest.mark.parametrize("parts", range(1, 6))
     @pytest.mark.parametrize("total", range(0, 11))
@@ -240,56 +244,82 @@ class TestTerms:
             log_a = _log_priors(a)
             exact = list(_terms(total, parts, a, folds))
             logs = list(_terms(total, parts, log_a, _top, log=True))
-            assert [run[:3] for run in exact] == [run[:3] for run in logs]
-            assert [run[:3] for run in exact] == list(_runs(total, parts))
+            assert [block[:3] for block in exact] == [block[:3] for block in logs]
+            assert [block[:3] for block in exact] == list(_runs(total, parts))
             members = []
-            for (head, r, xs, factor, row, folded), (
-                _, _, _, log_factor, log_row, log_folded
+            for (outer, left, xss, factor, h, row, folded), (
+                _, _, _, log_factor, log_h, log_row, log_folded
             ) in zip(exact, logs):
-                terms, log_terms = [], []
-                for x in xs:
-                    occ = (*head, x, r - x)[:parts]
-                    members.append(occ)
-                    want = _exact_weight(occ)
-                    for ai, count in zip(a, occ):
-                        want *= ai**count
-                    assert factor * row[x] == want, (a, occ)
-                    terms.append(want)
-                    want = log_macrostate_probability(Macrostate(occ), a)
-                    value = log_factor + log_row[x]
-                    if want == -math.inf:
-                        assert value == -math.inf, (a, occ)
-                    else:
-                        assert abs(value - want) <= 1e-12, (a, occ)
-                    log_terms.append(value)
-                # each fold is the sum or max over this run's own members;
-                # in log mode only the max is meaningful
-                t_sum, (t_sum2, x_sum), t_top = folded
-                assert factor * t_sum == factor * t_sum2 == sum(terms), (a, head)
-                assert factor * x_sum == sum(x * t for x, t in zip(xs, terms))
-                assert factor * t_top == max(terms), (a, head)
-                # rounding is monotone: the best member's score, exactly
-                assert log_factor + log_folded == max(log_terms), (a, head)
+                assert len(h) == len(xss) == len(folded) == len(log_folded)
+                for y, xs in enumerate(xss):
+                    r = left - y
+                    assert xs == range(r + 1 if parts > 1 else 1)  # x: a phantom
+                    terms, log_terms = [], []
+                    for x in xs:
+                        occ = (*outer, y, x, r - x)[-parts:]
+                        members.append(occ)
+                        want = _exact_weight(occ)
+                        for ai, count in zip(a, occ):
+                            want *= ai**count
+                        assert factor * h[y] * row(y)[x] == want, (a, occ)
+                        terms.append(want)
+                        want = log_macrostate_probability(Macrostate(occ), a)
+                        value = log_factor + (log_h[y] + log_row(y)[x])
+                        if want == -math.inf:
+                            assert value == -math.inf, (a, occ)
+                        else:
+                            assert abs(value - want) <= 1e-12, (a, occ)
+                        log_terms.append(value)
+                    # each fold is the sum or max over run y's own members;
+                    # in log mode only the max is meaningful
+                    t_sum, (t_sum2, x_sum), t_top = folded[y]
+                    scale = factor * h[y]
+                    assert scale * t_sum == scale * t_sum2 == sum(terms), (a, outer, y)
+                    assert scale * x_sum == sum(x * t for x, t in zip(xs, terms))
+                    assert scale * t_top == max(terms), (a, outer, y)
+                    # rounding is monotone: the best member's score, exactly
+                    assert (log_factor + (log_h[y] + log_folded[y])
+                            == max(log_terms)), (a, outer, y)
             assert members == walk
 
     @pytest.mark.parametrize("log", [False, True])
     @pytest.mark.parametrize("parts", range(1, 6))
     def test_a_run_without_members_folds_to_nothing(self, drop_members, parts, log):
         """Only a planted drop empties a run: its sums are 0, its top -inf."""
-        head, r, xs = list(_runs(4, parts))[-1]
-        drop_members([(*head, x, r - x)[:parts] for x in xs])
+        outer, left, xss = list(_runs(4, parts))[-1]
+        y = len(xss) - 1
+        drop_members([(*outer, y, x, left - y - x)[-parts:] for x in xss[y]])
         a = [1] * parts
-        runs = list(_terms(4, parts, _log_priors(a) if log else a, folds, log=log))
-        assert [run[:3] for run in runs if not run[2]] == [(head, r, ())]
-        assert runs[-1][-1] == (0, (0, 0), -math.inf)
+        blocks = list(_terms(4, parts, _log_priors(a) if log else a, folds, log=log))
+        assert [(block[:2], y) for block in blocks
+                for y, xs in enumerate(block[2]) if not xs] == [((outer, left), y)]
+        assert blocks[-1][-1][-1] == (0, (0, 0), -math.inf)
 
     def test_one_long_row(self):
         """The exact row's binomial recurrence against ``math.comb`` over a
         row far longer than the per-composition cases reach."""
-        ((head, r, xs, factor, row, total),) = _terms(1000, 2, [1, 1], _sum)
-        assert (head, r, xs, factor) == ((), 1000, range(1001), 1)
-        assert row == [math.comb(1000, x) for x in range(1001)]
-        assert total == 2**1000
+        ((outer, left, xss, factor, h, row, folded),) = _terms(1000, 2, [1, 1], _sum)
+        assert (outer, left, xss, factor, h) == ((), 1000, [range(1001)], 1, [1])
+        assert row(0) == [math.comb(1000, x) for x in range(1001)]
+        assert folded == [2**1000]
+
+    def test_one_long_head_level_row(self):
+        """h takes the same recurrence: at three levels it is C(N, y)."""
+        ((outer, left, xss, factor, h, row, folded),) = _terms(600, 3, [1, 1, 1], _sum)
+        assert (outer, left, factor) == ((), 600, 1)
+        assert h == [math.comb(600, y) for y in range(601)]
+        assert folded == [2**r for r in range(600, -1, -1)]
+
+    def test_a_block_per_outer_head(self):
+        """oracle-enum's size, N = 30 over four levels, walks 31 blocks of
+        496 runs and 5,456 members; five levels have one block per outer
+        pair, C(32, 2) of them."""
+        blocks = list(_terms(30, 4, [1, 3, 5, 7], _sum))
+        assert len(blocks) == 31
+        assert [block[:2] for block in blocks] == [((k,), 30 - k) for k in range(31)]
+        assert sum(len(block[2]) for block in blocks) == 496
+        assert sum(len(xs) for block in blocks for xs in block[2]) == 5456
+        assert len(list(_runs(30, 5))) == math.comb(32, 2)
 
 
 # -- structural identities over the full composition set --------------------

@@ -38,6 +38,18 @@ def two_level_spec(priors, particles):
     )
 
 
+def dyadic_spec(n, particles):
+    """n levels 0..n-1 with the dyadic prior (1/2, 1/4, ..., 2/2**n, ...),
+    its last two entries equal: every composition's term is positive."""
+    prior = [2.0 ** -(j + 1) for j in range(n - 1)] + [2.0 ** -(n - 1)]
+    return SystemSpec(spectrum=EnergySpectrum([float(j) for j in range(n)]),
+                      prior=ProbabilityVector(prior), particles=particles)
+
+
+#: (levels, N) whose blocks sit under an outer head of two or three levels
+DEEP_SETS = [(5, 6), (6, 5)]
+
+
 def test_round_to_macrostate_is_deterministic_and_sum_preserving():
     m = round_to_macrostate(3, (0.5, 0.5))
     assert m.occupations == (2, 1)  # tie goes to the lowest index
@@ -45,6 +57,18 @@ def test_round_to_macrostate_is_deterministic_and_sum_preserving():
     assert m.occupations == (7, 3)
     for total, p in [(7, (0.2, 0.3, 0.5)), (11, (0.6, 0.4)), (1, (0.9, 0.1))]:
         assert round_to_macrostate(total, p).total == total
+
+
+@pytest.mark.parametrize("total, p, want", [
+    (10**17, [1 / 3] * 3, (33333333333333334,) + (33333333333333333,) * 2),
+    (10**30, [0.1] * 10, (10**29,) * 10),
+    (2**60 + 3, [0.75, 0.25], (3 * 2**58 + 2, 2**58 + 1)),
+])
+def test_round_to_macrostate_keeps_the_total_past_float_units(total, p, want):
+    # total * q in floats loses the units past 2**53: (10**17, [1/3] * 3)
+    # and (2**60 + 3, [0.75, 0.25]) used to come out one particle short, and
+    # (10**30, [0.1] * 10) far off
+    assert round_to_macrostate(total, p).occupations == want
 
 
 @pytest.mark.parametrize("total, p, message", [
@@ -192,6 +216,21 @@ class TestNormalizationAndMeans:
             drop_members([member])
             reports = check_normalization_and_means(spec)
             assert reports[0].passed is False, member
+
+    @pytest.mark.parametrize("n, total", DEEP_SETS)
+    def test_dropping_any_composition_under_a_deeper_outer_head(
+        self, drop_members, n, total
+    ):
+        """Under two or three outer levels a block's h is shared with other
+        blocks of the same ``left``: losing any one member of any block
+        fails the normalization and one mean at least."""
+        spec = dyadic_spec(n, total)
+        assert all(r.passed for r in check_normalization_and_means(spec))
+        for member in combinatorics.CompositionSet(total, n).iter_tuples():
+            drop_members([member])
+            reports = check_normalization_and_means(spec)
+            assert reports[0].passed is False, member
+            assert not all(r.passed for r in reports[1:]), member
 
     @pytest.mark.parametrize("exact_prior, shown", [
         ([-0.5, 1.5], "-0.5"),
@@ -355,6 +394,28 @@ class TestMostProbableState:
             assert got == str(list(want)), member
             assert (got == str(list(argmax))) is (member != argmax)
 
+    @pytest.mark.parametrize("n, total", DEEP_SETS)
+    def test_dropping_any_composition_under_a_deeper_outer_head(
+        self, drop_members, n, total
+    ):
+        """Each block is screened whole by its best score: with any one
+        member lost, the scan reports the first exact argmax of the others,
+        so dropping the argmax changes ``exact_value``."""
+        spec = dyadic_spec(n, total)
+        p = generalized_distribution(spec.spectrum, spec.prior, 1.0).distribution
+        exact_p = [Fraction(q) for q in p.entries]
+        members = list(combinatorics.CompositionSet(total, n).iter_tuples())
+        prob = {occ: macrostate_probability_exact(Macrostate(occ), exact_p)
+                for occ in members}
+        argmax = max(members, key=prob.get)
+        assert check_most_probable_state(spec, 1.0).exact_value == str(list(argmax))
+        for member in members:
+            drop_members([member])
+            want = max((occ for occ in members if occ != member), key=prob.get)
+            got = check_most_probable_state(spec, 1.0).exact_value
+            assert got == str(list(want)), member
+            assert (got == str(list(argmax))) is (member != argmax)
+
     def test_size_guard(self):
         spec = SystemSpec(
             spectrum=EnergySpectrum([0.0] * 5),
@@ -465,18 +526,38 @@ class TestWeightDominance:
         (report,) = check_weight_dominance(4, (6,))
         assert report.exact_value == "120"
 
+    @pytest.mark.parametrize("n, total", DEEP_SETS)
+    def test_dropping_any_composition_under_a_deeper_outer_head(
+        self, drop_members, n, total
+    ):
+        """With any one member of any block lost, W_max is the largest
+        weight of the others: each block's max weighs every run by its own
+        h[y], shared with the other blocks of the same ``left``. Without all
+        the largest weights, a smaller one is reported."""
+        members = list(combinatorics.CompositionSet(total, n).iter_tuples())
+        weight = {occ: combinatorics._exact_weight(occ) for occ in members}
+        for member in members:
+            drop_members([member])
+            (report,) = check_weight_dominance(n, (total,))
+            want = max(w for occ, w in weight.items() if occ != member)
+            assert report.exact_value == str(want), member
+        top = max(weight.values())
+        drop_members([occ for occ, w in weight.items() if w == top])
+        (report,) = check_weight_dominance(n, (total,))
+        assert report.exact_value == str(max(w for w in weight.values() if w < top))
+
     @pytest.mark.parametrize("lost", [550, 367])
     def test_a_run_without_members_is_skipped(self, monkeypatch, lost):
-        """A planted walk empties the run of head (lost,) at N = 1,100, whose
-        max folds to -inf: head (550,) has the factor C(1100, 550) ~ 1e329,
-        past float range, and head (367,) holds a largest weight. W_max is
-        the largest weight of the other members, C(N, h) C(N - h, (N - h)
-        // 2) over the other heads h."""
+        """A planted walk empties run y = lost of the one block at N = 1,100,
+        whose max folds to -inf: run 550 has h[y] = C(1100, 550) ~ 1e329,
+        past float range, and run 367 holds a largest weight. W_max is the
+        largest weight of the other members, C(N, y) C(N - y, (N - y) // 2)
+        over the other runs y."""
         walk, total = combinatorics._runs, 1100
 
         def runs(total, parts):
-            for head, r, xs in walk(total, parts):
-                yield head, r, (() if head == (lost,) else xs)
+            for outer, left, xss in walk(total, parts):
+                yield outer, left, [() if y == lost else xs for y, xs in enumerate(xss)]
 
         monkeypatch.setattr(combinatorics, "_runs", runs)
         (report,) = check_weight_dominance(3, (total,))
@@ -491,6 +572,20 @@ class TestWeightDominance:
         assert len(digits) == 6019 and digits.isdigit()
         assert int(digits[:4300]) == math.comb(20000, 10000) // 10**1719
         assert report.passed
+
+    def test_three_levels_stream_their_rows(self):
+        """Up to three levels no row recurs, and the one block builds each
+        row for its fold and lets it go: at N = 400 keeping all 401 rows of
+        C(r, x) would take several MB."""
+        tracemalloc.start()
+        try:
+            (report,) = check_weight_dominance(3, (400,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.exact_value == str(max(
+            math.comb(400, h) * math.comb(400 - h, (400 - h) // 2) for h in range(401)))
+        assert peak < 1_000_000
 
     def test_set_above_the_size_cap_is_refused(self):
         # n = 4 at N = 1,000 holds C(1003, 3) = 1.677e+8 compositions
