@@ -95,10 +95,13 @@ class CompositionSet:
 
     def iter_tuples(self) -> Iterator[tuple[int, ...]]:
         """Raw member tuples, block by block from ``_runs``, for hot loops."""
-        parts = self.parts  # [-parts:] drops the phantom levels of a small set
-        return ((*outer, y, x, left - y - x)[-parts:]
-                for outer, left, xss in _runs(self.total, parts)
-                for y, xs in enumerate(xss) for x in xs)
+        parts = self.parts
+        members = ((*outer, y, x, left - y - x)
+                   for outer, left, xss in _runs(self.total, parts)
+                   for y, xs in enumerate(xss) for x in xs)
+        if parts < 3:  # without the phantom levels
+            return (member[-parts:] for member in members)
+        return members
 
     def materialize(self) -> list[Macrostate]:
         """Eager list of all members; refuses sets above ``DEFAULT_SIZE_CAP``."""
@@ -157,11 +160,10 @@ def _terms(
     levels i.., so ``factor`` is the outer levels' part, h[y] = C(left, y)
     a[-3] ** y the last head level's, and row(y)[x] = C(r, x) a[-2] ** x
     a[-1] ** (r - x). From four levels on, where every block reuses them,
-    each row and its fold is built once per r, and h once per left where
-    left recurs (five levels on); up to three levels the one block streams
-    its rows, built once for the folds and again for each ``row`` call. An
-    exact row takes its binomials from C(r, x + 1) = C(r, x) (r - x) // (x + 1),
-    an exact division. A run whose members are not all of range(r + 1), as
+    each row and its fold is built once per r, and h once per block; up to
+    three levels the one block streams its rows, built once for the folds
+    and again for each ``row`` call. An exact row takes its binomials from
+    C(r, x + 1) = C(r, x) (r - x) // (x + 1), an exact division. A run whose members are not all of range(r + 1), as
     in a planted walk, has its fold taken over its own members."""
     comps = CompositionSet(total, parts)
     comps.require_within_cap()
@@ -198,7 +200,6 @@ def _terms(
 
         def row(y):
             return build(total - y, before, last)
-    heads = {}  # h by left
     done = None  # the outer levels above the last: their part pf is redone on change
     for outer, left, xss in _runs(total, parts):
         if outer[:-1] != done:
@@ -210,11 +211,7 @@ def _terms(
         if outer:  # times the last outer level's part, in the same order
             y = outer[-1]
             factor = times(pf, times(choose(rest, y), lead[-1][y]))
-        h = heads.get(left)
-        if h is None:
-            h = build(left, mid, ones) if parts > 2 else [unit]  # a phantom y = 0
-            if parts > 4:
-                heads[left] = h
+        h = build(left, mid, ones) if parts > 2 else [unit]  # a phantom y = 0
         if keep:
             block = rows[left::-1]
             row = block.__getitem__

@@ -216,7 +216,7 @@ def check_most_probable_state(spec: SystemSpec, beta: float) -> OracleReport:
     # this screen on oracle-enum's instances.
     scale = 1.0 + 2.0 * math.lgamma(total_n + 1)
     top = floor = -math.inf
-    runs: list[tuple] = []  # (score, head, r, xs, factor, h[y], row) reaching the floor
+    runs: list[tuple] = []  # (score, head, r, xs, factor, h[y], row, y) reaching the floor
     log_p = _log_priors(p.entries)
     for outer, left, xss, factor, h, row, peaks in _terms(
             total_n, n_levels, log_p, _top, True):
@@ -231,10 +231,12 @@ def check_most_probable_state(spec: SystemSpec, beta: float) -> OracleReport:
                 if lp > top:
                     top, floor = lp, lp - 1e-9 * (scale + abs(lp))
                     runs = [run for run in runs if run[0] >= floor]
-                runs.append((lp, (*outer, y), left - y, xss[y], factor, h[y], row(y)))
-    near = [(*head, x, r - x)[-n_levels:]  # drop the phantoms
-            for _, head, r, xs, factor, hy, row in runs for x in xs
-            if factor + (hy + row[x]) >= floor]
+                runs.append((lp, (*outer, y), left - y, xss[y], factor, h[y], row, y))
+    near = []  # each surviving run's row is built (up to three levels) once, here
+    for _, head, r, xs, factor, hy, row, y in runs:
+        ry = row(y)
+        near += [(*head, x, r - x)[-n_levels:]  # drop the phantoms
+                 for x in xs if factor + (hy + ry[x]) >= floor]
     a, _ = _integer_priors(p.entries)
     best = max(near, key=lambda occ: _exact_weight(occ) * math.prod(map(pow, a, occ)))
     distance = max(abs(x / total_n - q) for x, q in zip(best, p.entries))
