@@ -22,7 +22,6 @@ from .combinatorics import (
     _exact_weight,
     _integer_priors,
     _log_priors,
-    _rational,
     _sums,
     _terms,
     _top,
@@ -100,10 +99,7 @@ def round_to_macrostate(total: int, p: Sequence[float]) -> Macrostate:
     return Macrostate(base)
 
 
-def check_normalization_and_means(
-    spec: SystemSpec,
-    exact_prior: Sequence[Fraction] | None = None,
-) -> list[OracleReport]:
+def check_normalization_and_means(spec: SystemSpec) -> list[OracleReport]:
     """Exact check that macrostate probabilities sum to 1 and that
     occupation means equal N * prior, by full enumeration.
 
@@ -118,14 +114,9 @@ def check_normalization_and_means(
     sum(x t) and the last left sum(t) - sum(y t) - sum(x t). Only these
     totals become fractions.
 
-    Floats are exact rationals, so the default path converts the stored
-    prior exactly; pass ``exact_prior`` when the intended rational (say
-    1/3) is not float-representable; each of its entries must be a rational
-    >= 0 that Fraction accepts.
+    The priors are the spec's own, each float taken exactly (0.1 is not 1/10).
     """
-    given = spec.prior.entries if exact_prior is None else exact_prior
-    prior = [_rational(q, "exact prior") for q in given]
-    _same_length(len(prior), spec.spectrum.count, "exact priors")
+    prior = [Fraction(q) for q in spec.prior.entries]
     n_levels = spec.spectrum.count
     total_n = spec.particles
     a, denominator = _integer_priors(prior)
@@ -195,16 +186,17 @@ def check_most_probable_state(spec: SystemSpec, beta: float) -> OracleReport:
     equilibrium distribution.
 
     The per-particle prior is the generalized equilibrium distribution p at
-    beta. Compositions are scored by their float ln P, a block at a time: a
-    block whose best score (factor + the max over y of h[y] + run y's row
-    max) misses the floor is passed over whole, and only runs whose best
-    score reaches it have their members scored. Those within a slack far
-    above the rounding of the best score are compared exactly, in integers,
-    by W prod(a_i ** N_i) with p_i = a_i / D (D ** N is common to all); the
-    first exact maximum in lexicographic order wins, whatever the order of
-    the float sums. It must
-    sit within max-norm n/N of the continuous distribution. ``exact_value``
-    records the argmax vector.
+    beta. Compositions are scored by their float ln P, a block at a time,
+    against a floor a slack far above the rounding below the top score. A
+    block's best score is factor + the max over y of h[y] + run y's row max;
+    one candidate list keeps each block whose best score is finite and
+    reaches the floor, and a block that beats the top raises the floor and
+    prunes the list. Then the kept blocks' runs that reach the final floor
+    have their members scored, and those reaching it are compared exactly,
+    in integers, by W prod(a_i ** N_i) with p_i = a_i / D (D ** N is common
+    to all); the first exact maximum in lexicographic order wins, whatever
+    the order of the float sums. It must sit within max-norm n/N of the
+    continuous distribution. ``exact_value`` records the argmax vector.
     """
     p = generalized_distribution(spec.spectrum, spec.prior, beta).distribution
     total_n = spec.particles
@@ -216,27 +208,23 @@ def check_most_probable_state(spec: SystemSpec, beta: float) -> OracleReport:
     # this screen on oracle-enum's instances.
     scale = 1.0 + 2.0 * math.lgamma(total_n + 1)
     top = floor = -math.inf
-    runs: list[tuple] = []  # (score, head, r, xs, factor, h[y], row, y) reaching the floor
+    blocks: list[tuple] = []  # (best, outer, left, xss, factor, h, row, scores)
     log_p = _log_priors(p.entries)
     for outer, left, xss, factor, h, row, peaks in _terms(
             total_n, n_levels, log_p, _top, True):
         # each exactly its run's best member's, less the factor: rounding is monotone
         scores = list(map(add, h, peaks))
         block_best = factor + max(scores)
-        if block_best < floor or block_best == -math.inf:
-            continue
-        for y, score in enumerate(scores):
-            lp = factor + score
-            if lp >= floor and lp > -math.inf:
-                if lp > top:
-                    top, floor = lp, lp - 1e-9 * (scale + abs(lp))
-                    runs = [run for run in runs if run[0] >= floor]
-                runs.append((lp, (*outer, y), left - y, xss[y], factor, h[y], row, y))
-    near = []  # each surviving run's row is built (up to three levels) once, here
-    for _, head, r, xs, factor, hy, row, y in runs:
-        ry = row(y)
-        near += [(*head, x, r - x)[-n_levels:]  # drop the phantoms
-                 for x in xs if factor + (hy + ry[x]) >= floor]
+        if block_best > top:
+            top, floor = block_best, block_best - 1e-9 * (scale + abs(block_best))
+            blocks = [block for block in blocks if block[0] >= floor]
+        if block_best >= floor and block_best > -math.inf:
+            blocks.append((block_best, outer, left, xss, factor, h, row, scores))
+    # the kept runs reaching the final floor: each row (up to three levels) built once
+    near = [(*outer, y, x, left - y - x)[-n_levels:]  # drop the phantoms
+            for _, outer, left, xss, factor, h, row, scores in blocks
+            for y, score in enumerate(scores) if factor + score >= floor
+            for ry in [row(y)] for x in xss[y] if factor + (h[y] + ry[x]) >= floor]
     a, _ = _integer_priors(p.entries)
     best = max(near, key=lambda occ: _exact_weight(occ) * math.prod(map(pow, a, occ)))
     distance = max(abs(x / total_n - q) for x, q in zip(best, p.entries))
@@ -320,21 +308,15 @@ def default_suite(scale: str = "quick") -> list[OracleReport]:
     reports: list[OracleReport] = []
 
     norm_instances = [
-        ([0.0, 1.0], [Fraction(1, 2), Fraction(1, 2)], 8),
-        ([0.0, 1.0, 2.0], [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)], 6),
-        (
-            [0.0, 1.0, 2.0, 3.0],
-            [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)],
-            12,
-        ),
+        ([0.0, 1.0], [0.5, 0.5], 8),
+        ([0.0, 1.0, 2.0], [0.25, 0.25, 0.5], 6),
+        ([0.0, 1.0, 2.0, 3.0], [0.5, 0.25, 0.125, 0.125], 12),
     ]
     if scale == "full":
-        norm_instances.append(
-            ([0.0, 0.5, 2.0], [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)], 20)
-        )
-    for levels, fractions, particles in norm_instances:
-        spec = SystemSpec(levels, fractions, particles)
-        reports.extend(check_normalization_and_means(spec, fractions))
+        norm_instances.append(([0.0, 0.5, 2.0], [0.5, 0.25, 0.25], 20))
+    for levels, priors, particles in norm_instances:
+        spec = SystemSpec(levels, priors, particles)
+        reports.extend(check_normalization_and_means(spec))
 
     mode_instances = [
         ([0.0, 1.0], [0.5, 0.5], 10),

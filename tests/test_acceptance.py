@@ -71,7 +71,7 @@ def test_criterion_01_multinomial_exactness():
                 prior=spec_prior,
                 particles=total,
             )
-            reports = check_normalization_and_means(spec, prior)
+            reports = check_normalization_and_means(spec)
             ok = ok and all(r.passed and r.abs_error == 0.0 for r in reports)
             checked += len(reports)
     elapsed = time.perf_counter() - start

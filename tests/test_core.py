@@ -615,12 +615,11 @@ def _length_routes():
     """The entry points that pair per-level inputs, each given 3 for 2."""
     from fractions import Fraction
 
-    from boltzkit import (check_einstein_convergence, check_normalization_and_means,
-                          generalized_distribution, kl_divergence,
-                          log_macrostate_probability, macrostate_probability_exact,
-                          occupation_cross_entropy, solve_beta)
+    from boltzkit import (check_einstein_convergence, generalized_distribution,
+                          kl_divergence, log_macrostate_probability,
+                          macrostate_probability_exact, occupation_cross_entropy,
+                          solve_beta)
     thirds = ProbabilityVector([1 / 3] * 3)
-    spec = SystemSpec(TWO, HALVES, 2)
     return {
         "SystemSpec": lambda: SystemSpec(EnergySpectrum([0, 1, 2]), HALVES, 2),
         "validate_spec": lambda: validate_spec(
@@ -634,8 +633,6 @@ def _length_routes():
             Macrostate([1, 1]), thirds),
         "macrostate_probability_exact": lambda: macrostate_probability_exact(
             Macrostate([1, 1]), [Fraction(1, 3)] * 3),
-        "check_normalization_and_means": lambda: check_normalization_and_means(
-            spec, [Fraction(1, 3)] * 3),
         "check_einstein_convergence": lambda: check_einstein_convergence(
             HALVES, thirds, (4,)),
     }

@@ -8,8 +8,8 @@ a parameter, and ``core`` imports nothing that loads numpy. Only
 ``combinatorics`` applies the cap, only ``core._fsum`` sums an array
 exactly, only ``equilibrium._family_arrays`` finds the support mask, and only
 ``combinatorics._integer_priors`` puts exact priors over their common
-denominator; the oracle decides without the tests' reference
-``macrostate_probability_exact``.
+denominator; the oracle takes no prior but the spec's, and decides without
+the tests' reference ``macrostate_probability_exact``.
 The kernel's internals stay in ``equilibrium``: the CLI reaches it through
 ``generalized_distribution``, ``solve_beta`` and the grid ``_sweep`` only.
 A frozen value type converts and checks its fields in its own constructor,
@@ -89,16 +89,24 @@ def test_errors_defines_the_families_only():
         "BoltzkitError", "ValidationError", "NumericError", "InfeasibleError"]
 
 
-def test_no_cap_or_digits_parameter():
-    found = [
+def _parameters(*names):
+    return [
         f"{module}.{node.name}({arg.arg})"
         for module, tree in TREES.items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
-        if arg.arg in ("cap", "digits")
+        if arg.arg in names
     ]
-    assert found == []
+
+
+def test_no_cap_or_digits_parameter():
+    assert _parameters("cap", "digits") == []
+
+
+def test_no_second_prior_source():
+    # an exact check reads its priors from the spec only, each float exactly
+    assert _parameters("exact_prior") == []
 
 
 def test_one_cap_constant():
